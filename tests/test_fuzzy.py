@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import best_match_alignment, lcs_dp, ratio_dp
 
+from ontomatch import fuzzy
 from ontomatch.encoding import EncodingView
 from ontomatch.errors import ConfigError, EmptyCorpus, ViewMismatch
 from ontomatch.fuzzy import (
@@ -152,6 +155,12 @@ def test_fuzzy_config_validation():
         FuzzyConfig(method="weighted", weights={"alloy": 0.0}).validate()
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_fuzzy_config_rejects_non_finite_weights(weight):
+    with pytest.raises(ConfigError):
+        FuzzyConfig(method="weighted", weights={"alloy": weight}).validate()
+
+
 # -- align_fuzzy --------------------------------------------------------------
 
 
@@ -250,3 +259,45 @@ def test_empty_corpus_rejected():
     empty = make_corpus([], prefix="http://example.org/b#")
     with pytest.raises(EmptyCorpus):
         align_fuzzy(src, empty, FuzzyConfig())
+
+
+def long_text_corpora(seed: int):
+    """Texts of 0 to 200 characters on both sides of the 64-char lane width,
+    with characters only one side has, non-ASCII characters, empty texts,
+    and duplicated targets whose IRIs run in descending order."""
+    rng = random.Random(seed)
+    lengths = [0, 1, 7, 30, 63, 64, 65, 97, 150, 200]
+
+    def texts(alphabet: str, n: int) -> list[str]:
+        return ["".join(rng.choices(alphabet, k=rng.choice(lengths))) for _ in range(n)]
+
+    tgt_texts = texts("abcdü zw", 10) + ["", "ü" * 64, "ab" * 40]
+    tgt_texts += tgt_texts[:4]
+    src_texts = texts("abcdé xy", 9) + ["", "é" * 65, "ab" * 32] + tgt_texts[:4]
+    src = make_corpus(src_texts)
+    tgt = make_corpus(tgt_texts, prefix="http://example.org/b#")
+    return src, dataclasses.replace(tgt, iris=tgt.iris[::-1])
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_simple_matches_oracle_across_lane_width(monkeypatch, block):
+    if block is not None:
+        # several source blocks, so the swapped-role lanes are rebuilt
+        monkeypatch.setattr(fuzzy, "_SOURCE_BLOCK", block)
+    src, tgt = long_text_corpora(19)
+    src_pairs = list(zip(src.iris, src.texts))
+    tgt_pairs = list(zip(tgt.iris, tgt.texts))
+
+    out = align_fuzzy(src, tgt, FuzzyConfig(threshold=0.0))
+    assert [(c.source, c.target, c.score) for c in out] == best_match_alignment(
+        src_pairs, tgt_pairs, 0.0
+    )
+
+    out = align_fuzzy(src, tgt, FuzzyConfig(threshold=0.35), all_pairs=True)
+    expected = []
+    for src_iri, src_text in src_pairs:
+        for tgt_iri, tgt_text in tgt_pairs:
+            score = ratio_dp(src_text, tgt_text)
+            if score >= 0.35:
+                expected.append((src_iri, tgt_iri, score))
+    assert [(c.source, c.target, c.score) for c in out] == expected
