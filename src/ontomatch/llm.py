@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .errors import ConfigError, LogprobsUnsupported, ProviderError
 from .fuzzy import fuzzy_ratio
 from .postprocess import LabelMapper, LabelMapperConfig
-from .transport import post_json
+from .transport import connection_pool, post_json
 
 _TOP_LOGPROBS = 20
 # Confidence for a pair the rule table does not list.
@@ -61,10 +61,10 @@ class LLMConfig:
             raise ConfigError(f"max_new_tokens must be positive, got {self.max_new_tokens}")
         if self.batch_size < 1:
             raise ConfigError(f"llm batch_size must be positive, got {self.batch_size}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.request_timeout <= 0:
-            raise ConfigError(f"request_timeout must be positive, got {self.request_timeout}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ConfigError(f"request_timeout must be finite and positive, got {self.request_timeout}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,21 @@ class Decision:
 
 
 class HttpLLMClient:
-    """Client for a completions endpoint with bounded request concurrency."""
+    """Client for a completions endpoint with bounded request concurrency.
+
+    The client owns one keep-alive pool of ``batch_size`` connections, shared
+    by its worker threads; :meth:`close` releases them.
+    """
 
     def __init__(self, cfg: LLMConfig):
         cfg.validate()
         self.cfg = cfg
+        self._pool = connection_pool(cfg.endpoint, maxsize=cfg.batch_size)
         self._mapper_cache: dict[tuple[str, ...], LabelMapper] = {}
+
+    def close(self) -> None:
+        """Close the pooled connections."""
+        self._pool.clear()
 
     # -- single-request operations ------------------------------------
 
@@ -151,7 +160,7 @@ class HttpLLMClient:
             "temperature": self.cfg.temperature,
             "logprobs": _TOP_LOGPROBS,
         }
-        body = post_json(self.cfg.endpoint, payload, timeout=self.cfg.request_timeout)
+        body = post_json(self.cfg.endpoint, payload, pool=self._pool, timeout=self.cfg.request_timeout)
         try:
             choice = body["choices"][0]
             text = choice.get("text", "")
@@ -217,6 +226,9 @@ class MockLLMClient:
         self.default_completion = default_completion
         self.seed = seed
         self.call_count = 0
+
+    def close(self) -> None:
+        """Nothing to release; here for the :class:`HttpLLMClient` surface."""
 
     def complete(self, prompt: str) -> str:
         self.call_count += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .llm import LLMConfig, make_llm_client
 from .mapping import Correspondence
 from .parsing import Ontology
 from .postprocess import LabelMapper, LabelMapperConfig
-from .retrieval import RetrievalConfig, align_retrieval, make_embedding_provider
+from .retrieval import RetrievalConfig, align_retrieval
 
 logger = logging.getLogger(__name__)
 
@@ -187,8 +188,6 @@ def align_llm_pairwise(
         raise PairCapExceeded(
             f"{len(source.texts)}x{len(target.texts)} = {total} pairs exceed the cap of {pair_cap}"
         )
-    if client is None:
-        client = make_llm_client(cfg, seed=seed)
     if mapper is None:
         mapper = LabelMapper(LabelMapperConfig())
     template = template or PromptTemplate()
@@ -196,18 +195,21 @@ def align_llm_pairwise(
 
     pairs = [(i, j) for i in range(len(source.texts)) for j in range(len(target.texts))]
     out: list[Correspondence] = []
-    for start in range(0, len(pairs), cfg.batch_size):
-        batch = pairs[start:start + cfg.batch_size]
-        prompts = [
-            build_prompt(_prompt_text(source, i, view), _prompt_text(target, j, view), (), template)
-            for i, j in batch
-        ]
-        for (i, j), generated in zip(batch, client.complete_many(prompts)):
-            label, confidence = mapper.map(generated)
-            if label == mapper.cfg.labels[0]:
-                out.append(
-                    Correspondence(source.iris[i], target.iris[j], "=", confidence, "llm:pairwise")
-                )
+    with ExitStack() as owned:
+        if client is None:
+            client = owned.enter_context(closing(make_llm_client(cfg, seed=seed)))
+        for start in range(0, len(pairs), cfg.batch_size):
+            batch = pairs[start:start + cfg.batch_size]
+            prompts = [
+                build_prompt(_prompt_text(source, i, view), _prompt_text(target, j, view), (), template)
+                for i, j in batch
+            ]
+            for (i, j), generated in zip(batch, client.complete_many(prompts)):
+                label, confidence = mapper.map(generated)
+                if label == mapper.cfg.labels[0]:
+                    out.append(
+                        Correspondence(source.iris[i], target.iris[j], "=", confidence, "llm:pairwise")
+                    )
     return out
 
 
@@ -258,8 +260,6 @@ def align_rag(
     src_index = {iri: i for i, iri in enumerate(src_corpus.iris)}
     tgt_index = {iri: i for i, iri in enumerate(tgt_corpus.iris)}
 
-    if cfg.retrieval.backend == "embedding" and provider is None:
-        provider = make_embedding_provider(cfg.retrieval, seed=seed)
     candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider, seed=seed)
     pairs = [(src_index[c.source], tgt_index[c.target]) for c in candidates]
 
@@ -269,35 +269,35 @@ def align_rag(
         if (src_corpus.iris[i], tgt_corpus.iris[j]) not in decided
     ]
 
-    if pending and client is None:
-        client = make_llm_client(cfg.llm, seed=seed)
-
     journal = Path(cfg.journal_path) if cfg.journal_path else None
-    for start in range(0, len(pending), cfg.llm.batch_size):
-        batch = pending[start:start + cfg.llm.batch_size]
-        items = []
-        for i, j in batch:
-            prompt = build_prompt(
-                _prompt_text(src_corpus, i, cfg.view),
-                _prompt_text(tgt_corpus, j, cfg.view),
-                shots,
-                cfg.template,
-            )
-            meta = (src_corpus.structured[i].concept_label, tgt_corpus.structured[j].concept_label)
-            items.append((prompt, meta))
-        decisions = client.decide_many(items)
-        lines = []
-        for (i, j), decision in zip(batch, decisions):
-            key = (src_corpus.iris[i], tgt_corpus.iris[j])
-            decided[key] = decision.confidence
-            lines.append(json.dumps(
-                {"source": key[0], "target": key[1], "confidence": decision.confidence},
-                sort_keys=True,
-            ))
-        if journal is not None and lines:
-            with journal.open("a", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-                fh.flush()
+    with ExitStack() as owned:
+        if pending and client is None:
+            client = owned.enter_context(closing(make_llm_client(cfg.llm, seed=seed)))
+        for start in range(0, len(pending), cfg.llm.batch_size):
+            batch = pending[start:start + cfg.llm.batch_size]
+            items = []
+            for i, j in batch:
+                prompt = build_prompt(
+                    _prompt_text(src_corpus, i, cfg.view),
+                    _prompt_text(tgt_corpus, j, cfg.view),
+                    shots,
+                    cfg.template,
+                )
+                meta = (src_corpus.structured[i].concept_label, tgt_corpus.structured[j].concept_label)
+                items.append((prompt, meta))
+            decisions = client.decide_many(items)
+            lines = []
+            for (i, j), decision in zip(batch, decisions):
+                key = (src_corpus.iris[i], tgt_corpus.iris[j])
+                decided[key] = decision.confidence
+                lines.append(json.dumps(
+                    {"source": key[0], "target": key[1], "confidence": decision.confidence},
+                    sort_keys=True,
+                ))
+            if journal is not None and lines:
+                with journal.open("a", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                    fh.flush()
 
     provenance = "rag:fewshot" if cfg.shots else "rag"
     out = []

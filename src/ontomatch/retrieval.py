@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlparse
 
@@ -25,7 +26,7 @@ from scipy import sparse
 from .encoding import EncodedCorpus, tokenize
 from .errors import ConfigError, DimensionMismatch, EmptyCorpus, ProviderError, ViewMismatch
 from .mapping import Correspondence
-from .transport import post_json
+from .transport import connection_pool, post_json
 
 _BACKENDS = ("tfidf", "embedding")
 _BLOCK_ROWS = 512
@@ -66,6 +67,8 @@ class RetrievalConfig:
             raise ConfigError(f"retrieval threshold must be in [0, 1], got {self.threshold}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,9 @@ class MockEmbeddingProvider:
         self.dim = dim
         self.seed = seed
 
+    def close(self) -> None:
+        """Nothing to release; here for the :class:`HttpEmbeddingProvider` surface."""
+
     def embed(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
         rows = np.empty((len(texts), self.dim))
         for i, text in enumerate(texts):
@@ -181,7 +187,9 @@ class HttpEmbeddingProvider:
 
     Request: ``{"input": [texts...], "model": name}``.  Response:
     ``{"data": [{"index": i, "embedding": [...]}, ...]}``; rows are
-    re-assembled by index, so providers may answer out of order.
+    re-assembled by index, so providers may answer out of order.  Batches
+    go out one at a time over one keep-alive connection; :meth:`close`
+    releases it.
     """
 
     def __init__(self, endpoint: str, model: str | None = None,
@@ -190,6 +198,11 @@ class HttpEmbeddingProvider:
         self.model = model or "default"
         self.batch_size = max(1, batch_size)
         self.timeout = timeout
+        self._pool = connection_pool(endpoint)
+
+    def close(self) -> None:
+        """Close the pooled connection."""
+        self._pool.clear()
 
     def embed(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
         chunks: list[np.ndarray] = []
@@ -197,7 +210,7 @@ class HttpEmbeddingProvider:
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start:start + self.batch_size])
             payload = {"input": batch, "model": self.model}
-            body = post_json(self.endpoint, payload, timeout=self.timeout)
+            body = post_json(self.endpoint, payload, pool=self._pool, timeout=self.timeout)
             rows = self._unpack(body, len(batch))
             if dim is None:
                 dim = rows.shape[1]
@@ -248,8 +261,8 @@ def embed(texts: list[str] | tuple[str, ...], endpoint: str, *,
     """Embed texts through an endpoint URL (HTTP or "mock:")."""
     cfg = RetrievalConfig(backend="embedding", provider_endpoint=endpoint,
                           model=model, batch_size=batch_size, timeout=timeout)
-    provider = make_embedding_provider(cfg, seed=seed)
-    return VectorMatrix(values=provider.embed(texts))
+    with closing(make_embedding_provider(cfg, seed=seed)) as provider:
+        return VectorMatrix(values=provider.embed(texts))
 
 
 # --------------------------------------------------------------------------
@@ -333,10 +346,11 @@ def align_retrieval(
         src_vec = VectorMatrix(values=model.transform(source.texts), vocabulary=model.vocabulary)
         tgt_vec = VectorMatrix(values=model.transform(target.texts), vocabulary=model.vocabulary)
     else:
-        if provider is None:
-            provider = make_embedding_provider(cfg, seed=seed)
-        src_vec = VectorMatrix(values=provider.embed(source.texts))
-        tgt_vec = VectorMatrix(values=provider.embed(target.texts))
+        with ExitStack() as owned:
+            if provider is None:
+                provider = owned.enter_context(closing(make_embedding_provider(cfg, seed=seed)))
+            src_vec = VectorMatrix(values=provider.embed(source.texts))
+            tgt_vec = VectorMatrix(values=provider.embed(target.texts))
 
     provenance = f"retrieval:{cfg.backend}"
     out: list[Correspondence] = []

@@ -1,22 +1,45 @@
 """Shared HTTP plumbing for the embedding and completion providers.
 
-One POST helper with bearer-token auth from the environment, two retries
-with exponential backoff on transport-level failures (connection errors and
-timeouts), and no retry on HTTP status errors.
+Each provider client owns one keep-alive ``urllib3`` pool from
+:func:`connection_pool`, so repeated requests reuse their connections.  The
+pool goes through the proxy that ``HTTP(S)_PROXY`` names for the endpoint
+unless ``NO_PROXY`` covers its host, and verifies TLS certificates.
+
+:func:`post_json` sends one JSON POST through such a pool with bearer-token
+auth from the environment.  Connection failures and timeouts are retried
+twice with exponential backoff; so are HTTP 429 and 503, which sleep for the
+server's ``Retry-After`` seconds when it gives them.  Every other HTTP error
+status fails at once.  urllib3's own retries are off, so these are the only
+ones.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
+import urllib.request
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
-import requests
+import urllib3
 
 from .errors import EndpointUnreachable, ProviderError
 
 API_KEY_ENV = "ONTOMATCH_API_KEY"
 _BODY_EXCERPT = 200
+# Statuses that mean "try again later" rather than "this request is wrong".
+_RETRY_STATUSES = frozenset({429, 503})
+# Upper bound on a server-requested Retry-After sleep, in seconds.
+MAX_RETRY_AFTER_S = 60.0
+# Connection failures and timeouts; urllib3 raises these as they are
+# because retries are off.
+_UNREACHABLE = (
+    urllib3.exceptions.TimeoutError,
+    urllib3.exceptions.ProtocolError,
+    urllib3.exceptions.SSLError,
+    urllib3.exceptions.ProxyError,
+)
 
 
 def auth_headers() -> dict[str, str]:
@@ -27,34 +50,70 @@ def auth_headers() -> dict[str, str]:
     return headers
 
 
+def connection_pool(url: str, maxsize: int = 1) -> urllib3.PoolManager:
+    """A keep-alive pool of up to ``maxsize`` connections for ``url``'s host.
+
+    The proxy environment is read once, here: a ``ProxyManager`` when
+    ``HTTP_PROXY``/``HTTPS_PROXY`` names a proxy for the URL's scheme and
+    ``NO_PROXY`` does not cover its host, a direct pool otherwise.  The
+    caller owns the pool and releases its sockets with ``clear()``.
+    """
+    parts = urlsplit(url)
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.netloc):
+        return urllib3.ProxyManager(proxy, num_pools=1, maxsize=maxsize)
+    return urllib3.PoolManager(num_pools=1, maxsize=maxsize)
+
+
+def _retry_after(value: str | None, default: float) -> float:
+    """Seconds from a numeric ``Retry-After`` header, capped; ``default`` otherwise."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return default
+    return min(seconds, MAX_RETRY_AFTER_S) if seconds >= 0 else default
+
+
 def post_json(
     url: str,
     payload: dict[str, Any],
     *,
+    pool: urllib3.PoolManager,
     timeout: float = 30.0,
     retries: int = 2,
     backoff: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict[str, Any]:
-    """POST a JSON payload and return the decoded JSON response.
+    """POST a JSON payload through ``pool`` and return the decoded response.
 
     Raises:
         EndpointUnreachable: connection failures or timeouts after retries.
-        ProviderError: non-2xx status, carrying a body excerpt.
+        ProviderError: an HTTP error status (429 and 503 after retries),
+            carrying a body excerpt, or a body that is not JSON.
     """
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     attempt = 0
     while True:
+        delay = backoff * (2 ** attempt)
         try:
-            response = requests.post(url, json=payload, headers=auth_headers(), timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            response = pool.request(
+                "POST", url, body=body, headers=auth_headers(), timeout=timeout, retries=False,
+            )
+        except _UNREACHABLE as exc:
             if attempt >= retries:
                 raise EndpointUnreachable(f"cannot reach {url}: {exc}") from exc
-            sleep(backoff * (2 ** attempt))
-            attempt += 1
-            continue
-        if response.status_code >= 400:
-            raise ProviderError(response.status_code, response.text[:_BODY_EXCERPT])
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise ProviderError(response.status_code, f"non-JSON body: {response.text[:_BODY_EXCERPT]}") from exc
+        else:
+            if response.status < 400:
+                try:
+                    return json.loads(response.data)
+                except ValueError as exc:
+                    raise ProviderError(response.status, f"non-JSON body: {_excerpt(response)}") from exc
+            if response.status not in _RETRY_STATUSES or attempt >= retries:
+                raise ProviderError(response.status, _excerpt(response))
+            delay = _retry_after(response.headers.get("Retry-After"), delay)
+        sleep(delay)
+        attempt += 1
+
+
+def _excerpt(response: urllib3.BaseHTTPResponse) -> str:
+    return response.data.decode("utf-8", errors="replace")[:_BODY_EXCERPT]

@@ -146,14 +146,35 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_server():
-    """Local threaded HTTP server; tests assign ``server.app`` to a callable
-    ``(path, payload) -> (status, body_dict)`` and read ``server.url``."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+class _KeepAliveHandler(_Handler):
+    """HTTP/1.1, so a connection serves requests until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without this the second waits
+    # for the client's delayed ACK on every request.
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open_connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open_connections -= 1
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.lock = threading.Lock()
     server.active = 0
     server.max_active = 0
+    server.connections = 0
+    server.open_connections = 0
     server.requests = []
     server.app = lambda path, payload: (404, {"error": "no handler installed"})
     server.url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -164,3 +185,18 @@ def http_server():
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    """Local threaded HTTP server; tests assign ``server.app`` to a callable
+    ``(path, payload) -> (status, body_dict)`` and read ``server.url``."""
+    yield from _serve(_Handler)
+
+
+@pytest.fixture
+def keepalive_server():
+    """``http_server`` over HTTP/1.1 keep-alive; ``server.connections``
+    counts accepted connections, ``server.open_connections`` the ones the
+    client has not closed yet."""
+    yield from _serve(_KeepAliveHandler)

@@ -7,7 +7,7 @@ import math
 import time
 
 import pytest
-import requests
+import urllib3
 
 import ontomatch.llm as llm_module
 import ontomatch.transport as transport
@@ -130,11 +130,11 @@ def test_http_error_carries_body_excerpt(http_server):
 def test_unreachable_endpoint_raises_after_retries(monkeypatch):
     calls = {"n": 0}
 
-    def refuse(url, json=None, headers=None, timeout=None):
+    def refuse(pool, method, url, **kwargs):
         calls["n"] += 1
-        raise requests.ConnectionError("refused")
+        raise urllib3.exceptions.ProtocolError("refused")
 
-    monkeypatch.setattr(transport.requests, "post", refuse)
+    monkeypatch.setattr(urllib3.PoolManager, "request", refuse)
     monkeypatch.setattr(
         llm_module, "post_json",
         functools.partial(transport.post_json, sleep=lambda _: None),
@@ -172,6 +172,17 @@ def test_decide_many_preserves_order(http_server):
     decisions = client.decide_many([("a!", None), ("b", None), ("c!", None)])
     assert [d.label for d in decisions] == ["yes", "no", "yes"]
     assert client.decide_many([]) == []
+
+
+def test_client_reuses_at_most_batch_size_connections(keepalive_server):
+    keepalive_server.app = completion_app("yes", {" yes": math.log(0.9)})
+    client = client_for(keepalive_server, batch_size=3)
+    for call in range(4):
+        decisions = client.decide_many([(f"p{call}.{i}", None) for i in range(3)])
+        assert [d.label for d in decisions] == ["yes"] * 3
+    client.close()
+    assert len(keepalive_server.requests) == 12
+    assert 1 <= keepalive_server.connections <= 3
 
 
 # -- the offline mock ---------------------------------------------------------
@@ -230,7 +241,12 @@ def test_factory_picks_client_by_endpoint_scheme():
         {"max_new_tokens": 0},
         {"batch_size": 0},
         {"temperature": -0.1},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
         {"request_timeout": 0.0},
+        {"request_timeout": -1.0},
+        {"request_timeout": math.nan},
+        {"request_timeout": math.inf},
     ],
 )
 def test_llm_config_validation(kwargs):

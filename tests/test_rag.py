@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
+import time
 
 import pytest
 from conftest import make_corpus, make_ontology
@@ -215,6 +217,32 @@ def test_rag_identity_alignment_with_similarity_mock():
         (source.concepts[i].iri, target.concepts[i].iri) for i in range(len(LABELS))
     ]
     assert all(c.score == 1.0 and c.provenance == "rag" for c in out)
+
+
+def test_rag_over_http_closes_the_connections_it_opened(keepalive_server):
+    def app(path, payload):
+        if path == "/v1/embeddings":
+            vectors = [[1.0, float(len(text))] for text in payload["input"]]
+            return 200, {"data": [{"index": i, "embedding": v} for i, v in enumerate(vectors)]}
+        choice = {"text": "yes", "logprobs": {"top_logprobs": [{" yes": math.log(0.9)}]}}
+        return 200, {"choices": [choice]}
+
+    keepalive_server.app = app
+    source, target = rag_fixtures()
+    cfg = RAGConfig(
+        retrieval=RetrievalConfig(
+            backend="embedding", top_k=2, provider_endpoint=f"{keepalive_server.url}/v1/embeddings",
+        ),
+        llm=LLMConfig(endpoint=f"{keepalive_server.url}/v1/completions", batch_size=2),
+    )
+    out = align_rag(source, target, cfg)
+    assert len(out) == 2 * len(LABELS)
+    # one embedding connection plus at most batch_size completion ones
+    assert 2 <= keepalive_server.connections <= 3
+    deadline = time.monotonic() + 5.0
+    while keepalive_server.open_connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert keepalive_server.open_connections == 0
 
 
 def test_rag_output_is_a_subset_of_the_retrieval_shortlist():

@@ -170,6 +170,15 @@ def test_http_provider_batches_and_reassembles(http_server):
     assert np.allclose(rows[0], expected_first[0])
 
 
+def test_http_provider_keeps_one_connection_across_batches(keepalive_server):
+    keepalive_server.app = _embedding_app()
+    provider = HttpEmbeddingProvider(keepalive_server.url, batch_size=2)
+    assert provider.embed(["a", "bb", "ccc", "dddd", "eeeee"]).shape == (5, 4)
+    provider.close()
+    assert len(keepalive_server.requests) == 3
+    assert keepalive_server.connections == 1
+
+
 def test_http_provider_rejects_mixed_widths(http_server):
     def app(path, payload):
         data = [
@@ -378,6 +387,12 @@ def test_retrieval_config_validation():
         RetrievalConfig(top_k=0).validate()
     with pytest.raises(ConfigError):
         RetrievalConfig(batch_size=0).validate()
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+def test_retrieval_config_rejects_bad_timeouts(timeout):
+    with pytest.raises(ConfigError):
+        RetrievalConfig(timeout=timeout).validate()
 
 
 def test_view_and_empty_corpus_errors():
