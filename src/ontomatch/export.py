@@ -9,6 +9,7 @@ never observe a half-written alignment.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -20,7 +21,7 @@ from .errors import ConfigError, InvalidScore, MalformedDocument
 from .mapping import Correspondence
 from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS
 
-_XSD_FLOAT = XSD_NS + "float"
+_XSD_FLOAT_ATTR = quoteattr(XSD_NS + "float")
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,19 @@ def export_xml(document: AlignmentDocument) -> str:
         f"    <onto1>{escape(document.onto1)}</onto1>",
         f"    <onto2>{escape(document.onto2)}</onto2>",
     ]
+    quote = functools.cache(quoteattr)  # an IRI recurs in many cells
     for index, cell in enumerate(document.cells):
         _check_cell(cell, index)
-        lines.extend([
-            "    <map>",
-            "      <Cell>",
-            f"        <entity1 rdf:resource={quoteattr(cell.source)}/>",
-            f"        <entity2 rdf:resource={quoteattr(cell.target)}/>",
-            f"        <relation>{escape(cell.relation)}</relation>",
-            f"        <measure rdf:datatype={quoteattr(_XSD_FLOAT)}>{format_measure(cell.score)}</measure>",
-            "      </Cell>",
-            "    </map>",
-        ])
+        lines.append(
+            "    <map>\n"
+            "      <Cell>\n"
+            f"        <entity1 rdf:resource={quote(cell.source)}/>\n"
+            f"        <entity2 rdf:resource={quote(cell.target)}/>\n"
+            f"        <relation>{escape(cell.relation)}</relation>\n"
+            f"        <measure rdf:datatype={_XSD_FLOAT_ATTR}>{format_measure(cell.score)}</measure>\n"
+            "      </Cell>\n"
+            "    </map>"
+        )
     lines.extend(["  </Alignment>", "</rdf:RDF>", ""])
     return "\n".join(lines)
 

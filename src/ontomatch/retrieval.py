@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlparse
@@ -29,7 +31,9 @@ from .mapping import Correspondence
 from .transport import connection_pool, post_json
 
 _BACKENDS = ("tfidf", "embedding")
+# Source rows whose similarity rows are in memory at once, across all workers.
 _BLOCK_ROWS = 512
+_MAX_WORKERS = 8
 
 # Ranked candidates per source row: (target row index, cosine similarity).
 CandidateList = list[list[tuple[int, float]]]
@@ -277,24 +281,54 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     Candidates are ranked by descending similarity with ties broken by
     ascending target index; the ranking for k is always a prefix of the
     ranking for k+1.
+
+    Sparse (TF-IDF) sources are scored in row blocks on up to
+    ``min(cores, 8)`` threads, with 512 source rows in flight in all.  A
+    sparse row's sums do not depend on the rows around it, so the output is
+    exact: the same at any core count and block size.  BLAS picks its
+    kernels by matrix shape and by a row's place in the matrix, so the last
+    bits of a dense row's sums depend on its block; dense (embedding)
+    sources keep 512-row blocks on one thread, whatever the core count, and
+    BLAS threads each product itself.
     """
     if k < 1:
         raise ConfigError(f"top_k must be >= 1, got {k}")
     if source.dim != target.dim:
         raise DimensionMismatch(f"source dim {source.dim} != target dim {target.dim}")
-    n_target = target.rows
-    k_eff = min(k, n_target)
+    k_eff = min(k, target.rows)
     target_t = target.values.T
-    results: CandidateList = []
-    for start in range(0, source.rows, _BLOCK_ROWS):
-        block = source.values[start:start + _BLOCK_ROWS]
+    # Dense blocks stay whole: their sums depend on the block (see above).
+    workers = _worker_count() if sparse.issparse(source.values) else 1
+    rows = _BLOCK_ROWS // workers
+
+    def score(start: int) -> CandidateList:
+        block = source.values[start:start + rows]
+        n = block.shape[0]
+        if n == 1 and not sparse.issparse(block):
+            # numpy hands a one-row product to gemv, whose sums differ in
+            # the last bits from a gemm row's.
+            block = np.repeat(block, 2, axis=0)
         sims = block @ target_t
         if sparse.issparse(sims):
             sims = sims.toarray()
-        sims = np.asarray(sims)
-        for row in sims:
-            results.append(_select_topk(row, k_eff))
-    return results
+        return [_select_topk(row, k_eff) for row in np.asarray(sims)[:n]]
+
+    starts = range(0, source.rows, rows)
+    if workers == 1 or len(starts) == 1:
+        blocks = map(score, starts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(score, starts))
+    return [ranked for block in blocks for ranked in block]
+
+
+def _worker_count() -> int:
+    """Cores this process may run on, at most ``_MAX_WORKERS``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        cores = os.cpu_count() or 1
+    return min(cores, _MAX_WORKERS)
 
 
 def _select_topk(row: np.ndarray, k: int) -> list[tuple[int, float]]:

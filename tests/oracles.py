@@ -1,14 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive and shares no code with the package:
-textbook dynamic programming for subsequences, dict-based TF-IDF, and
-pure-Python ranking.  Tests trust agreement between two implementations,
+textbook dynamic programming for subsequences, dict-based TF-IDF,
+pure-Python ranking, and line-by-line alignment XML.  Tests trust agreement between two implementations,
 not either one alone.
 """
 
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape, quoteattr
 
 
 def lcs_dp(a: str, b: str) -> int:
@@ -94,3 +95,40 @@ def rank_candidates(
         ranked = sorted(range(len(sims)), key=lambda j: (-sims[j], j))[:k]
         out.append([(j, sims[j]) for j in ranked if sims[j] >= threshold])
     return out
+
+
+def alignment_xml(
+    cells: list[tuple[str, str, str, float]],
+    onto1: str = "",
+    onto2: str = "",
+) -> str:
+    """OAEI cell XML for (entity1, entity2, relation, measure) cells, one
+    line at a time, with every attribute quoted where it is written."""
+    lines = [
+        '<?xml version="1.0" encoding="utf-8"?>',
+        '<rdf:RDF xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment#"',
+        '         xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"',
+        '         xmlns:xsd="http://www.w3.org/2001/XMLSchema#">',
+        "  <Alignment>",
+        "    <xml>yes</xml>",
+        "    <level>0</level>",
+        "    <type>??</type>",
+        f"    <onto1>{escape(onto1)}</onto1>",
+        f"    <onto2>{escape(onto2)}</onto2>",
+    ]
+    for entity1, entity2, relation, measure in cells:
+        text = f"{measure:.6f}".rstrip("0")
+        if text.endswith("."):
+            text += "0"
+        lines.extend([
+            "    <map>",
+            "      <Cell>",
+            f"        <entity1 rdf:resource={quoteattr(entity1)}/>",
+            f"        <entity2 rdf:resource={quoteattr(entity2)}/>",
+            f"        <relation>{escape(relation)}</relation>",
+            f'        <measure rdf:datatype={quoteattr("http://www.w3.org/2001/XMLSchema#float")}>{text}</measure>',
+            "      </Cell>",
+            "    </map>",
+        ])
+    lines.extend(["  </Alignment>", "</rdf:RDF>", ""])
+    return "\n".join(lines)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from oracles import alignment_xml
 
 from ontomatch.errors import ConfigError, InvalidScore, MalformedDocument
 from ontomatch.export import (
@@ -98,6 +99,21 @@ def test_xml_escapes_markup_in_values(tmp_path):
     parsed = parse_reference_alignment(path)
     assert parsed.cells[0].entity1 == 'http://a#q="1"&r=<2>'
     assert parsed.cells[0].relation == "<"
+
+
+def test_multi_cell_xml_matches_line_by_line_oracle():
+    cells = [
+        ("http://a#Alloy", "http://b#MetalAlloy", "=", 0.92),
+        ("http://a#Alloy", 'http://b#q="1"&r=<2>', "<", 0.5),
+        ('http://a#q="1"&r=<2>', "http://b#MetalAlloy", "=", 1.0),
+        ("http://a#it's", 'http://b#both"\'', "&>", 0.123456789),
+        ("http://a#Alloy", "http://b#MetalAlloy", "=", 0.0),
+        ('http://a#q="1"&r=<2>', 'http://b#q="1"&r=<2>', "<", 1e-07),
+    ]
+    document = AlignmentDocument.from_correspondences(
+        [Correspondence(*cell, "x") for cell in cells], onto1="http://a&b", onto2="<b>",
+    )
+    assert export_xml(document) == alignment_xml(cells, onto1="http://a&b", onto2="<b>")
 
 
 def test_empty_alignment_has_header_but_no_cells():

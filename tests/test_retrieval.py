@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -10,6 +11,8 @@ import pytest
 from conftest import make_corpus
 from oracles import dot, rank_candidates, tfidf_vectors
 
+import ontomatch.retrieval as retrieval
+import ontomatch.transport as transport
 from ontomatch.encoding import EncodingView, tokenize
 from ontomatch.errors import (
     ConfigError,
@@ -202,7 +205,10 @@ def test_http_provider_rejects_gapped_indexes(http_server):
         provider.embed(["a", "b"])
 
 
-def test_http_provider_surfaces_status_errors(http_server):
+def test_http_provider_surfaces_status_errors(http_server, monkeypatch):
+    monkeypatch.setattr(
+        retrieval, "post_json", functools.partial(transport.post_json, sleep=lambda _: None),
+    )
     http_server.app = lambda path, payload: (503, {"error": "overloaded"})
     provider = HttpEmbeddingProvider(http_server.url)
     with pytest.raises(ProviderError) as excinfo:
@@ -271,6 +277,72 @@ def test_topk_blocked_path_matches_single_block():
     for i in (0, 511, 512, 699):
         best = ranked[i][0]
         assert best[1] == pytest.approx(float(sims[i].max()), abs=1e-12)
+
+
+class _RecordingPool(retrieval.ThreadPoolExecutor):
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def _topk_with(monkeypatch, source, target, k, rows_in_flight, workers):
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(retrieval, "_BLOCK_ROWS", rows_in_flight)
+    monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
+    return cosine_topk(source, target, k)
+
+
+def test_worker_count_is_the_capped_affinity(monkeypatch):
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: set(range(12)), raising=False)
+    assert retrieval._worker_count() == retrieval._MAX_WORKERS == 8
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert retrieval._worker_count() == 3
+    monkeypatch.delattr(retrieval.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(retrieval.os, "cpu_count", lambda: None)
+    assert retrieval._worker_count() == 1
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 512])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sparse_topk_is_the_same_on_any_worker_count_and_block_size(monkeypatch, block_rows, workers):
+    # 513 sources leave a one-row tail block at 512 // 1, 2 and 4 rows, and
+    # texts of one or two of ten words tie often
+    rng = random.Random(27)
+    texts = random_texts(rng, 513 + 60, max_words=2)
+    model = TfidfModel().fit(texts)
+    src = VectorMatrix(values=model.transform(texts[:513]))
+    tgt = VectorMatrix(values=model.transform(texts[513:]))
+    expected = _topk_with(monkeypatch, src, tgt, 5, rows_in_flight=512, workers=1)
+    assert any(row[0][1] == row[1][1] for row in expected)
+    for rows_in_flight in (512, block_rows * workers):
+        got = _topk_with(monkeypatch, src, tgt, 5, rows_in_flight, workers)
+        assert got == expected
+        pooled = workers > 1 and rows_in_flight // workers < 513
+        assert _RecordingPool.sizes == ([workers] if pooled else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_dense_topk_does_not_depend_on_the_worker_count(monkeypatch, workers):
+    provider = MockEmbeddingProvider(dim=64, seed=7)
+    src = VectorMatrix(values=provider.embed([f"source {i}" for i in range(1025)]))
+    tgt = VectorMatrix(values=provider.embed([f"target {j}" for j in range(300)]))
+    expected = _topk_with(monkeypatch, src, tgt, 5, rows_in_flight=512, workers=1)
+    assert _topk_with(monkeypatch, src, tgt, 5, rows_in_flight=512, workers=workers) == expected
+    assert _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("block_rows", [512, 256, 3])
+def test_dense_tail_row_scores_as_if_alone(monkeypatch, block_rows):
+    # a one-row product would go to gemv, whose sums differ from gemm's
+    provider = MockEmbeddingProvider(dim=64, seed=7)
+    src = VectorMatrix(values=provider.embed([f"source {i}" for i in range(513)]))
+    tgt = VectorMatrix(values=provider.embed([f"target {j}" for j in range(300)]))
+    ranked = _topk_with(monkeypatch, src, tgt, 5, block_rows, workers=1)
+    alone = cosine_topk(VectorMatrix(values=src.values[512:513]), tgt, 5)
+    assert ranked[512] == alone[0]
 
 
 def test_candidate_nesting():
