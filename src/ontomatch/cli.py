@@ -22,8 +22,7 @@ from typing import Any, Sequence
 
 from .errors import ConfigError, OntomatchError
 from .evaluation import Metrics, compare, evaluate
-from .export import AlignmentDocument, load_json_alignment, write_alignment
-from .mapping import Correspondence
+from .export import write_alignment
 from .parsing import parse_reference_alignment
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -147,22 +146,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _load_alignment_file(path: str):
-    if path.endswith(".json"):
-        return load_json_alignment(path)
-    return parse_reference_alignment(path)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    predicted = _load_alignment_file(args.pred)
-    if not isinstance(predicted, list):
-        predicted = [
-            Correspondence(c.entity1, c.entity2, c.relation, c.measure)
-            for c in predicted.cells
-        ]
-    reference = _load_alignment_file(args.ref)
-    metrics = evaluate(predicted, reference)
+    metrics = evaluate(parse_reference_alignment(args.pred), parse_reference_alignment(args.ref))
     seconds = round(time.monotonic() - started, 1)
     print(json.dumps(metrics.to_dict(seconds=seconds), indent=2, sort_keys=True))
     return 0
@@ -171,18 +157,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.format not in ("xml", "json"):
         raise ConfigError(f"unknown output format: {args.format!r}")
-    loaded = _load_alignment_file(args.input)
-    if isinstance(loaded, list):
-        cells = loaded
-        onto1 = onto2 = ""
-    else:
-        cells = [
-            Correspondence(c.entity1, c.entity2, c.relation, c.measure)
-            for c in loaded.cells
-        ]
-        onto1, onto2 = loaded.onto1, loaded.onto2
-    document = AlignmentDocument.from_correspondences(cells, onto1=onto1, onto2=onto2)
-    write_alignment(document, args.out, args.format)
+    write_alignment(parse_reference_alignment(args.input), args.out, args.format)
     print(f"wrote {args.out}")
     return 0
 
@@ -197,16 +172,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"report file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"report file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"report file {path} must hold a JSON object")
         metrics_data = data.get("metrics") or {}
-        metrics = Metrics(
-            inter=int(metrics_data.get("inter", 0)),
-            pred=int(metrics_data.get("pred", 0)),
-            ref=int(metrics_data.get("ref", 0)),
-            precision=float(metrics_data.get("precision", 0.0)),
-            recall=float(metrics_data.get("recall", 0.0)),
-            f1=float(metrics_data.get("f1", 0.0)),
-        )
-        seconds = float((data.get("seconds") or {}).get("total", 0.0))
+        seconds_data = data.get("seconds") or {}
+        if not isinstance(metrics_data, dict) or not isinstance(seconds_data, dict):
+            raise ConfigError(f"report file {path}: 'metrics' and 'seconds' must be objects")
+        try:
+            metrics = Metrics(
+                inter=int(metrics_data.get("inter", 0)),
+                pred=int(metrics_data.get("pred", 0)),
+                ref=int(metrics_data.get("ref", 0)),
+                precision=float(metrics_data.get("precision", 0.0)),
+                recall=float(metrics_data.get("recall", 0.0)),
+                f1=float(metrics_data.get("f1", 0.0)),
+            )
+            seconds = float(seconds_data.get("total", 0.0))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"report file {path} holds a non-numeric count, score or time") from None
         runs.append((path.stem, metrics, seconds))
     table = compare(runs)
     print(table.to_text())

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .mapping import Correspondence
-from .parsing import AlignmentCell, ReferenceAlignment
 
 
 @dataclass(frozen=True)
@@ -47,22 +46,9 @@ def _truncate_percent(numerator: int, denominator: int) -> float:
     return (1000 * numerator // denominator) / 10
 
 
-def _reference_keys(
-    reference: ReferenceAlignment | Sequence[AlignmentCell] | Sequence[Correspondence],
-) -> list[tuple[str, str, str]]:
-    cells: Iterable = reference.cells if isinstance(reference, ReferenceAlignment) else reference
-    keys = []
-    for cell in cells:
-        if isinstance(cell, Correspondence):
-            keys.append(cell.key())
-        else:
-            keys.append((cell.entity1, cell.entity2, cell.relation))
-    return keys
-
-
 def evaluate(
-    predicted: Sequence[Correspondence],
-    reference: ReferenceAlignment | Sequence[AlignmentCell] | Sequence[Correspondence],
+    predicted: Iterable[Correspondence],
+    reference: Iterable[Correspondence],
 ) -> Metrics:
     """Precision, recall, and F1 of predictions against a reference.
 
@@ -72,7 +58,7 @@ def evaluate(
     pred_keys = set()
     for corr in predicted:
         pred_keys.add(corr.key())
-    ref_keys = set(_reference_keys(reference))
+    ref_keys = {cell.key() for cell in reference}
 
     pred_eq = {(s, t) for s, t, r in pred_keys if r == "="}
     ref_eq = {(s, t) for s, t, r in ref_keys if r == "="}

@@ -1,10 +1,11 @@
-"""Serializing alignments to the OAEI cell XML vocabulary and to JSON.
+"""Writing alignments in the OAEI cell XML vocabulary and as JSON.
 
-Output is byte-deterministic: fixed element order, fixed namespace
-declarations, measures printed as plain decimals with at most six
-fractional digits (never scientific notation).  Files are written
-atomically (temp file in the target directory, then rename) so readers
-never observe a half-written alignment.
+This module holds only writers; ``parsing.parse_reference_alignment``
+reads both formats back.  Output is byte-deterministic: fixed element
+order, fixed namespace declarations, measures printed as plain decimals
+with at most six fractional digits (never scientific notation).  Files
+are written atomically (temp file in the target directory, then rename)
+so readers never observe a half-written alignment.
 """
 
 from __future__ import annotations
@@ -13,35 +14,14 @@ import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import ConfigError, InvalidScore, MalformedDocument
-from .mapping import Correspondence
+from .errors import ConfigError, InvalidScore
+from .mapping import AlignmentDocument, Correspondence
 from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS
 
 _XSD_FLOAT_ATTR = quoteattr(XSD_NS + "float")
-
-
-@dataclass(frozen=True)
-class AlignmentDocument:
-    """An alignment plus the header fields of the XML format."""
-
-    cells: tuple[Correspondence, ...]
-    onto1: str = ""
-    onto2: str = ""
-    level: str = "0"
-    type: str = "??"
-
-    @classmethod
-    def from_correspondences(
-        cls,
-        correspondences: list[Correspondence] | tuple[Correspondence, ...],
-        onto1: str = "",
-        onto2: str = "",
-    ) -> "AlignmentDocument":
-        return cls(cells=tuple(correspondences), onto1=onto1, onto2=onto2)
 
 
 def format_measure(score: float) -> str:
@@ -103,29 +83,6 @@ def export_json(document: AlignmentDocument) -> str:
             "provenance": cell.provenance,
         })
     return json.dumps(payload, indent=2) + "\n"
-
-
-def load_json_alignment(path: str | Path) -> list[Correspondence]:
-    """Read a JSON alignment back into correspondences."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid alignment JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    if not isinstance(raw, list):
-        raise MalformedDocument("alignment JSON must be an array of cells")
-    cells = []
-    for index, item in enumerate(raw):
-        try:
-            cells.append(Correspondence(
-                source=str(item["source"]),
-                target=str(item["target"]),
-                relation=str(item.get("relation", "=")),
-                score=float(item.get("score", 1.0)),
-                provenance=str(item.get("provenance", "")),
-            ))
-        except (KeyError, TypeError, ValueError):
-            raise MalformedDocument(f"alignment JSON cell {index} lacks source/target") from None
-    return cells
 
 
 def atomic_write(path: str | Path, data: str) -> None:

@@ -218,13 +218,11 @@ class MockLLMClient:
         default_confidence: float = MOCK_DEFAULT_CONFIDENCE,
         canned: dict[str, str] | None = None,
         default_completion: str = "no",
-        seed: int = 0,
     ):
         self.rules = rules
         self.default_confidence = default_confidence
         self.canned = canned or {}
         self.default_completion = default_completion
-        self.seed = seed
         self.call_count = 0
 
     def close(self) -> None:
@@ -262,9 +260,9 @@ class MockLLMClient:
         return [self.binary_decision(prompt, options, meta) for prompt, meta in items]
 
 
-def make_llm_client(cfg: LLMConfig, *, seed: int = 0) -> HttpLLMClient | MockLLMClient:
+def make_llm_client(cfg: LLMConfig) -> HttpLLMClient | MockLLMClient:
     """Build the client named by ``cfg.endpoint`` ("mock:" or an URL)."""
     cfg.validate()
     if cfg.endpoint.startswith("mock:"):
-        return MockLLMClient(seed=seed)
+        return MockLLMClient()
     return HttpLLMClient(cfg)

@@ -1,4 +1,4 @@
-"""Ontology and reference-alignment parsing.
+"""Ontology and alignment parsing.
 
 Two input families are handled:
 
@@ -6,7 +6,8 @@ Two input families are handled:
   or Turtle (``.ttl``).  Both serializations are reduced to a stream of
   triples in document order, from which named classes, labels, synonyms,
   comments, and subclass links are collected.
-* Reference alignments in the OAEI alignment-cell XML vocabulary.
+* Alignments, as OAEI alignment-cell XML or the JSON that ``export``
+  writes, both read into an ``AlignmentDocument`` of ``Correspondence`` cells.
 
 Only named classes survive: blank nodes (anonymous restrictions and the
 like) are dropped, as are classes from the RDF/RDFS/OWL/XSD builtin
@@ -15,6 +16,7 @@ namespaces such as ``owl:Thing``.
 
 from __future__ import annotations
 
+import json
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from pathlib import Path
 from urllib.parse import urljoin
 
 from .errors import MalformedDocument, MissingEntity, UnsupportedFormat
+from .mapping import AlignmentDocument, Correspondence
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -81,28 +84,6 @@ class Ontology:
 
     def iris(self) -> tuple[str, ...]:
         return tuple(c.iri for c in self.concepts)
-
-
-@dataclass(frozen=True)
-class AlignmentCell:
-    """One cell of a parsed alignment file."""
-
-    entity1: str
-    entity2: str
-    relation: str = "="
-    measure: float = 1.0
-
-
-@dataclass(frozen=True)
-class ReferenceAlignment:
-    """Cells of an alignment file, duplicates collapsed, document order."""
-
-    cells: tuple[AlignmentCell, ...]
-    onto1: str = ""
-    onto2: str = ""
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 _CAMEL_SPLIT = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
@@ -571,7 +552,7 @@ def _triples_from_turtle(text: str) -> list[Triple]:
 
 
 # --------------------------------------------------------------------------
-# Reference alignments (OAEI alignment-cell XML)
+# Alignments (OAEI alignment-cell XML or JSON)
 # --------------------------------------------------------------------------
 
 
@@ -590,18 +571,44 @@ def _cell_entity(cell: ET.Element, name: str, index: int) -> str:
     raise MissingEntity(f"cell {index}: missing <{name}>")
 
 
-def parse_reference_alignment(path: str | Path) -> ReferenceAlignment:
-    """Parse an OAEI-style alignment file.
+def load_json_alignment(path: str | Path) -> list[Correspondence]:
+    """Read a JSON alignment back into correspondences."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"invalid alignment JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    if not isinstance(raw, list):
+        raise MalformedDocument("alignment JSON must be an array of cells")
+    cells = []
+    for index, item in enumerate(raw):
+        try:
+            cells.append(Correspondence(
+                source=str(item["source"]),
+                target=str(item["target"]),
+                relation=str(item.get("relation", "=")),
+                score=float(item.get("score", 1.0)),
+                provenance=str(item.get("provenance", "")),
+            ))
+        except (KeyError, TypeError, ValueError):
+            raise MalformedDocument(f"alignment JSON cell {index} lacks source/target") from None
+    return cells
 
-    One :class:`AlignmentCell` per ``Cell`` element, in document order,
-    duplicate (entity1, entity2, relation) triples collapsed to the first
-    occurrence.  Missing relations default to "=", missing measures to 1.0.
+
+def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
+    """Read an alignment file: JSON for a ``.json`` suffix (any case), else XML.
+
+    JSON cells are kept as written, duplicates included.  XML gives one
+    cell per ``Cell`` element, in document order, duplicate (source,
+    target, relation) triples collapsed to the first occurrence; missing
+    relations default to "=", missing measures to 1.0.
 
     Raises:
         FileNotFoundError: the path does not exist.
-        MalformedDocument: XML errors or non-numeric measures.
-        MissingEntity: a cell lacks entity1 or entity2.
+        MalformedDocument: XML or JSON errors, or non-numeric measures.
+        MissingEntity: an XML cell lacks entity1 or entity2.
     """
+    if Path(path).suffix.lower() == ".json":
+        return AlignmentDocument.from_correspondences(load_json_alignment(path))
     text = Path(path).read_text(encoding="utf-8")
     try:
         root = ET.fromstring(text)
@@ -618,7 +625,7 @@ def parse_reference_alignment(path: str | Path) -> ReferenceAlignment:
         elif name == "onto2" and not list(elem):
             onto2 = (elem.text or "").strip()
 
-    cells: list[AlignmentCell] = []
+    cells: list[Correspondence] = []
     seen: set[tuple[str, str, str]] = set()
     for index, cell in enumerate(e for e in root.iter() if _local_name(e.tag) == "Cell"):
         entity1 = _cell_entity(cell, "entity1", index)
@@ -638,5 +645,5 @@ def parse_reference_alignment(path: str | Path) -> ReferenceAlignment:
         if key in seen:
             continue
         seen.add(key)
-        cells.append(AlignmentCell(entity1=entity1, entity2=entity2, relation=relation, measure=measure))
-    return ReferenceAlignment(cells=tuple(cells), onto1=onto1, onto2=onto2)
+        cells.append(Correspondence(entity1, entity2, relation, measure))
+    return AlignmentDocument(cells=tuple(cells), onto1=onto1, onto2=onto2)

@@ -9,6 +9,7 @@ deterministic: repeated runs produce byte-identical alignment files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -19,10 +20,10 @@ from typing import Any
 from .encoding import EncodingView, encode
 from .errors import ConfigError
 from .evaluation import Metrics, evaluate
-from .export import AlignmentDocument, atomic_write, load_json_alignment, write_alignment
+from .export import atomic_write, write_alignment
 from .fuzzy import FuzzyConfig, align_fuzzy
 from .llm import LLMConfig
-from .mapping import Correspondence
+from .mapping import AlignmentDocument, Correspondence
 from .parsing import parse_ontology, parse_reference_alignment
 from .postprocess import PostprocessConfig, apply_postprocess
 from .rag import DEFAULT_PAIR_CAP, Exemplar, PromptTemplate, RAGConfig, align_llm_pairwise, align_rag
@@ -178,30 +179,19 @@ class _StageClock:
         self.seconds: dict[str, float] = {}
         self._start = time.monotonic()
 
+    @contextlib.contextmanager
     def time(self, stage: str):
-        clock = self
-
-        class _Span:
-            def __enter__(self):
-                self.begin = time.monotonic()
-
-            def __exit__(self, *exc):
-                clock.seconds[stage] = clock.seconds.get(stage, 0.0) + (time.monotonic() - self.begin)
-                return False
-
-        return _Span()
+        begin = time.monotonic()
+        try:
+            yield
+        finally:
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + (time.monotonic() - begin)
 
     def finish(self) -> dict[str, float]:
         total = time.monotonic() - self._start
         out = {name: round(value, 1) for name, value in self.seconds.items()}
         out["total"] = round(total, 1)
         return out
-
-
-def _load_reference(path: str):
-    if path.endswith(".json"):
-        return load_json_alignment(path)
-    return parse_reference_alignment(path)
 
 
 def run_pipeline(
@@ -249,7 +239,7 @@ def run_pipeline(
             correspondences = align_llm_pairwise(
                 corpora[0], corpora[1], cfg.rag.llm,
                 template=cfg.rag.template, pair_cap=cfg.pair_cap,
-                client=llm_client, seed=cfg.seed,
+                client=llm_client,
             )
         else:
             shots = 0 if cfg.method == "rag" else (cfg.rag.shots or _DEFAULT_FEWSHOT)
@@ -265,7 +255,7 @@ def run_pipeline(
     metrics = None
     if cfg.reference_path:
         with clock.time("evaluate"):
-            metrics = evaluate(correspondences, _load_reference(cfg.reference_path))
+            metrics = evaluate(correspondences, parse_reference_alignment(cfg.reference_path))
 
     with clock.time("export"):
         document = AlignmentDocument.from_correspondences(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoding import EncodedCorpus, EncodingView, encode, render_concept
@@ -175,7 +175,6 @@ def align_llm_pairwise(
     template: PromptTemplate | None = None,
     pair_cap: int = DEFAULT_PAIR_CAP,
     client=None,
-    seed: int = 0,
 ) -> list[Correspondence]:
     """Ask the model about every pair; keep the pairs mapped to yes.
 
@@ -197,7 +196,7 @@ def align_llm_pairwise(
     out: list[Correspondence] = []
     with ExitStack() as owned:
         if client is None:
-            client = owned.enter_context(closing(make_llm_client(cfg, seed=seed)))
+            client = owned.enter_context(closing(make_llm_client(cfg)))
         for start in range(0, len(pairs), cfg.batch_size):
             batch = pairs[start:start + cfg.batch_size]
             prompts = [
@@ -272,7 +271,7 @@ def align_rag(
     journal = Path(cfg.journal_path) if cfg.journal_path else None
     with ExitStack() as owned:
         if pending and client is None:
-            client = owned.enter_context(closing(make_llm_client(cfg.llm, seed=seed)))
+            client = owned.enter_context(closing(make_llm_client(cfg.llm)))
         for start in range(0, len(pending), cfg.llm.batch_size):
             batch = pending[start:start + cfg.llm.batch_size]
             items = []
@@ -309,8 +308,3 @@ def align_rag(
             ))
     out.sort(key=lambda c: (src_index[c.source], -c.score, c.target))
     return out
-
-
-def plain_rag_config(cfg: RAGConfig) -> RAGConfig:
-    """The same settings with few-shot prompting turned off."""
-    return replace(cfg, shots=0)

@@ -23,11 +23,11 @@ from oracles import best_match_alignment, dot, lcs_dp, rank_candidates, tfidf_ve
 from ontomatch.cli import main
 from ontomatch.encoding import tokenize
 from ontomatch.evaluation import evaluate
-from ontomatch.export import AlignmentDocument, export_json, export_xml, load_json_alignment
+from ontomatch.export import AlignmentDocument, export_json, export_xml
 from ontomatch.fuzzy import FuzzyConfig, align_fuzzy, fuzzy_ratio
 from ontomatch.llm import LLMConfig, MockLLMClient
 from ontomatch.mapping import Correspondence
-from ontomatch.parsing import AlignmentCell, parse_reference_alignment
+from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 from ontomatch.pipeline import PipelineConfig, run_pipeline
 from ontomatch.postprocess import cardinality_filter
 from ontomatch.rag import RAGConfig, align_rag
@@ -59,8 +59,8 @@ def synthetic_counts(inter: int, pred: int, ref: int):
         Correspondence(f"http://a#p{i}", f"http://b#p{i}", "=", 1.0, "x")
         for i in range(pred - inter)
     ]
-    reference = [AlignmentCell(s, t) for s, t in shared]
-    reference += [AlignmentCell(f"http://a#r{i}", f"http://b#r{i}") for i in range(ref - inter)]
+    reference = [Correspondence(s, t) for s, t in shared]
+    reference += [Correspondence(f"http://a#r{i}", f"http://b#r{i}") for i in range(ref - inter)]
     return predicted, reference
 
 
@@ -283,7 +283,7 @@ def test_serialization_roundtrips(tmp_path):
     xml_path.write_text(first, encoding="utf-8")
     parsed = parse_reference_alignment(xml_path)
     rebuilt = AlignmentDocument.from_correspondences(
-        [Correspondence(c.entity1, c.entity2, c.relation, c.measure) for c in parsed.cells],
+        [Correspondence(c.source, c.target, c.relation, c.score) for c in parsed.cells],
         onto1=parsed.onto1, onto2=parsed.onto2,
     )
     assert export_xml(rebuilt) == first

@@ -8,7 +8,7 @@ import pytest
 from conftest import ontology_from_labels, write_reference_xml
 
 from ontomatch.cli import main
-from ontomatch.export import load_json_alignment
+from ontomatch.parsing import load_json_alignment
 
 SRC_BASE = "http://example.org/a#"
 TGT_BASE = "http://example.org/b#"
@@ -144,6 +144,42 @@ def test_eval_prints_metric_json(corpus, tmp_path, capsys):
     assert "seconds" in metrics
 
 
+def _eval_metrics(capsys, predicted, reference) -> dict:
+    assert main(["eval", "--pred", str(predicted), "--ref", str(reference)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    metrics.pop("seconds")
+    return metrics
+
+
+def test_eval_reads_xml_and_json_alike_whatever_the_suffix_case(corpus, tmp_path, capsys):
+    from ontomatch.export import AlignmentDocument, export_json, export_xml
+    from ontomatch.mapping import Correspondence
+
+    _, _, reference = corpus
+    document = AlignmentDocument.from_correspondences([
+        Correspondence(f"{SRC_BASE}C000", f"{TGT_BASE}C000", "=", 0.9),
+        Correspondence(f"{SRC_BASE}C001", f"{TGT_BASE}C999", "=", 0.4),
+    ])
+    pred_xml = tmp_path / "pred.xml"
+    pred_xml.write_text(export_xml(document), encoding="utf-8")
+    pred_json = tmp_path / "pred.json"
+    pred_json.write_text(export_json(document), encoding="utf-8")
+    pred_upper = tmp_path / "pred.JSON"
+    pred_upper.write_bytes(pred_json.read_bytes())
+    ref_json = tmp_path / "ref.json"
+    ref_json.write_text(json.dumps([
+        {"source": f"{SRC_BASE}C{i:03d}", "target": f"{TGT_BASE}C{i:03d}"} for i in range(3)
+    ]), encoding="utf-8")
+    ref_upper = tmp_path / "ref.JSON"
+    ref_upper.write_bytes(ref_json.read_bytes())
+
+    expected = {"inter": 1, "pred": 2, "ref": 3, "precision": 50.0, "recall": 33.3, "f1": 40.0}
+    assert _eval_metrics(capsys, pred_xml, reference) == expected
+    assert _eval_metrics(capsys, pred_json, reference) == expected
+    assert _eval_metrics(capsys, pred_json, ref_json) == expected
+    assert _eval_metrics(capsys, pred_upper, ref_upper) == expected
+
+
 def test_convert_roundtrips_through_json_byte_identically(tmp_path, capsys):
     from ontomatch.export import AlignmentDocument, export_xml
     from ontomatch.mapping import Correspondence
@@ -196,6 +232,22 @@ def test_compare_ranks_reports_by_f1(tmp_path, capsys):
 
 def test_compare_missing_report_exits_1(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"metrics": "x"},
+    {"seconds": [2.0]},
+    {"metrics": {"inter": "many"}},
+    {"metrics": {"pred": float("inf")}},
+    {"seconds": {"total": None}},
+])
+def test_compare_malformed_report_exits_1_naming_the_file(tmp_path, capsys, payload):
+    report = tmp_path / "bad-run.json"
+    report.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["compare", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(report) in err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -7,8 +7,7 @@ import json
 import pytest
 
 from ontomatch.evaluation import ComparisonTable, Metrics, compare, evaluate
-from ontomatch.mapping import Correspondence
-from ontomatch.parsing import AlignmentCell, ReferenceAlignment
+from ontomatch.mapping import AlignmentDocument, Correspondence
 
 
 def synthetic_sets(inter: int, pred: int, ref: int):
@@ -19,9 +18,9 @@ def synthetic_sets(inter: int, pred: int, ref: int):
         Correspondence(f"http://a#p{i}", f"http://b#p{i}", "=", 0.9, "x")
         for i in range(pred - inter)
     ]
-    reference = [AlignmentCell(s, t) for s, t in shared]
+    reference = [Correspondence(s, t) for s, t in shared]
     reference += [
-        AlignmentCell(f"http://a#r{i}", f"http://b#r{i}") for i in range(ref - inter)
+        Correspondence(f"http://a#r{i}", f"http://b#r{i}") for i in range(ref - inter)
     ]
     return predicted, reference
 
@@ -61,7 +60,7 @@ def test_percentages_truncate_rather_than_round():
 def test_duplicates_are_counted_once():
     pair = Correspondence("http://a#1", "http://b#1", "=", 0.9, "x")
     lower = Correspondence("http://a#1", "http://b#1", "=", 0.2, "y")
-    reference = [AlignmentCell("http://a#1", "http://b#1"), AlignmentCell("http://a#1", "http://b#1")]
+    reference = [Correspondence("http://a#1", "http://b#1"), Correspondence("http://a#1", "http://b#1")]
     metrics = evaluate([pair, pair, lower], reference)
     assert (metrics.inter, metrics.pred, metrics.ref) == (1, 1, 1)
     assert metrics.f1 == 100.0
@@ -73,9 +72,9 @@ def test_non_equivalence_relations_never_match():
         Correspondence("http://a#2", "http://b#2", "<", 1.0, "x"),
     ]
     reference = [
-        AlignmentCell("http://a#1", "http://b#1"),
-        AlignmentCell("http://a#2", "http://b#2", relation="<"),
-        AlignmentCell("http://a#3", "http://b#3", relation=">"),
+        Correspondence("http://a#1", "http://b#1"),
+        Correspondence("http://a#2", "http://b#2", relation="<"),
+        Correspondence("http://a#3", "http://b#3", relation=">"),
     ]
     metrics = evaluate(predicted, reference)
     # the subsumption pairs count toward sizes but not the intersection
@@ -96,10 +95,10 @@ def test_empty_sides_score_zero_not_nan():
 def test_reference_argument_polymorphism():
     predicted, cells = synthetic_sets(2, 3, 4)
     as_cells = evaluate(predicted, cells)
-    as_document = evaluate(predicted, ReferenceAlignment(cells=tuple(cells)))
+    as_document = evaluate(predicted, AlignmentDocument(cells=tuple(cells)))
     as_correspondences = evaluate(
         predicted,
-        [Correspondence(c.entity1, c.entity2, c.relation, c.measure, "") for c in cells],
+        [Correspondence(c.source, c.target, c.relation, c.score, "") for c in cells],
     )
     assert as_cells == as_document == as_correspondences
 

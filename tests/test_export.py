@@ -14,11 +14,10 @@ from ontomatch.export import (
     export_json,
     export_xml,
     format_measure,
-    load_json_alignment,
     write_alignment,
 )
 from ontomatch.mapping import Correspondence
-from ontomatch.parsing import parse_reference_alignment
+from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 
 GOLDEN_XML = """\
 <?xml version="1.0" encoding="utf-8"?>
@@ -83,7 +82,7 @@ def test_xml_roundtrips_byte_stably(tmp_path):
     parsed = parse_reference_alignment(path)
     assert parsed.onto1 == "http://a" and parsed.onto2 == "http://b"
     rebuilt = AlignmentDocument.from_correspondences(
-        [Correspondence(c.entity1, c.entity2, c.relation, c.measure) for c in parsed.cells],
+        [Correspondence(c.source, c.target, c.relation, c.score) for c in parsed.cells],
         onto1=parsed.onto1,
         onto2=parsed.onto2,
     )
@@ -97,7 +96,7 @@ def test_xml_escapes_markup_in_values(tmp_path):
     path = tmp_path / "escaped.xml"
     path.write_text(text, encoding="utf-8")
     parsed = parse_reference_alignment(path)
-    assert parsed.cells[0].entity1 == 'http://a#q="1"&r=<2>'
+    assert parsed.cells[0].source == 'http://a#q="1"&r=<2>'
     assert parsed.cells[0].relation == "<"
 
 

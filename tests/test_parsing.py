@@ -378,9 +378,9 @@ def test_reference_two_cells_in_document_order(tmp_path):
     )
     ref = parse_reference_alignment(path)
     assert len(ref) == 2
-    assert ref.cells[0].entity1 == BASE + "a1"
-    assert ref.cells[1].entity2 == BASE + "b2"
-    assert all(cell.relation == "=" and cell.measure == 1.0 for cell in ref.cells)
+    assert ref.cells[0].source == BASE + "a1"
+    assert ref.cells[1].target == BASE + "b2"
+    assert all(cell.relation == "=" and cell.score == 1.0 for cell in ref.cells)
 
 
 def test_reference_defaults_and_onto_headers(tmp_path):
@@ -408,8 +408,8 @@ def test_reference_defaults_and_onto_headers(tmp_path):
     ref = parse_reference_alignment(path)
     assert ref.onto1 == "http://example.org/src.owl"
     assert ref.onto2 == "http://example.org/tgt.owl"
-    assert ref.cells[0].relation == "=" and ref.cells[0].measure == 1.0
-    assert ref.cells[1].relation == "<" and ref.cells[1].measure == 0.25
+    assert ref.cells[0].relation == "=" and ref.cells[0].score == 1.0
+    assert ref.cells[1].relation == "<" and ref.cells[1].score == 0.25
 
 
 def test_reference_duplicates_collapse_to_first(tmp_path):

@@ -8,11 +8,11 @@ import pytest
 from conftest import ontology_from_labels, write_reference_xml
 
 from ontomatch.encoding import EncodingView
+from ontomatch import pipeline
 from ontomatch.errors import ConfigError
-from ontomatch.export import load_json_alignment
 from ontomatch.fuzzy import FuzzyConfig
 from ontomatch.llm import Decision, LLMConfig, MockLLMClient
-from ontomatch.parsing import parse_reference_alignment
+from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 from ontomatch.pipeline import (
     PipelineConfig,
     RunReport,
@@ -245,6 +245,34 @@ def test_json_reference_files_are_accepted(corpus_paths, tmp_path):
     cfg = base_config(corpus_paths, tmp_path, reference_path=str(reference))
     _, report = run_pipeline(cfg)
     assert report.metrics.f1 == 100.0
+
+
+def test_xml_and_json_references_load_through_one_reader(corpus_paths, tmp_path, monkeypatch):
+    pairs = [(f"{SRC_BASE}C{i:03d}", f"{TGT_BASE}C{i:03d}") for i in range(3)]
+    pairs.append((f"{SRC_BASE}C003", f"{TGT_BASE}C000"))
+    as_xml = write_reference_xml(tmp_path / "ref.rdf", pairs)
+    as_json = tmp_path / "ref.json"
+    as_json.write_text(json.dumps([{"source": s, "target": t} for s, t in pairs]), encoding="utf-8")
+    loaded = []
+
+    def counting_reader(path):
+        loaded.append(path)
+        return parse_reference_alignment(path)
+
+    monkeypatch.setattr(pipeline, "parse_reference_alignment", counting_reader)
+    from_xml = run_pipeline(base_config(corpus_paths, tmp_path, reference_path=str(as_xml)))[1].metrics
+    from_json = run_pipeline(base_config(corpus_paths, tmp_path, reference_path=str(as_json)))[1].metrics
+    assert from_xml == from_json
+    assert (from_xml.inter, from_xml.pred, from_xml.ref) == (3, 4, 4)
+    assert loaded == [str(as_xml), str(as_json)]
+
+
+def test_stage_clock_records_a_stage_that_raises():
+    clock = pipeline._StageClock()
+    with pytest.raises(ValueError):
+        with clock.time("parse"):
+            raise ValueError("boom")
+    assert clock.finish() == {"parse": 0.0, "total": 0.0}
 
 
 def test_one_to_one_postprocess_inside_the_pipeline(tmp_path):

@@ -26,7 +26,6 @@ from ontomatch.rag import (
     align_rag,
     build_prompt,
     load_exemplars,
-    plain_rag_config,
 )
 from ontomatch.retrieval import RetrievalConfig
 
@@ -294,7 +293,6 @@ def test_fewshot_rag_same_pairs_different_provenance():
         (c.source, c.target, c.score) for c in few
     ]
     assert all(c.provenance == "rag:fewshot" for c in few)
-    assert plain_rag_config(RAGConfig(shots=2)).shots == 0
 
 
 def test_fewshot_prompts_carry_the_exemplars_in_order():
