@@ -24,7 +24,7 @@ from .errors import ConfigError, OntomatchError
 from .evaluation import Metrics, compare, evaluate
 from .export import write_alignment
 from .parsing import parse_reference_alignment
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, report_path_for, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +133,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     summary: dict[str, Any] = {
         "correspondences": len(correspondences),
         "output_path": report.output_path,
-        "report_path": report.output_path + ".report.json",
+        "report_path": str(report_path_for(report.output_path)),
     }
     if report.metrics is not None:
         summary["metrics"] = report.metrics.to_dict(seconds=report.seconds.get("total"))

@@ -7,10 +7,10 @@ Three views control how much taxonomy context each concept carries:
 * ``CP``  the label plus its parents' labels.
 
 Encoded corpora are index-aligned with the ontology's concept list and are
-consumed by every aligner.  The ``target`` argument names the consumer:
-``lightweight`` (fuzzy and retrieval scoring), ``llm`` (pairwise prompting),
-or ``rag`` (retrieve-then-generate, which retrieves over the plain-label
-view while prompting with the requested view).
+consumed by every aligner.  Texts, which fuzzy and retrieval scoring read,
+carry the label, its normalized synonyms in parentheses and the view's
+related labels.  Structured records, from which LLM prompts are rendered,
+carry the label without synonyms and the same related labels.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .parsing import Ontology, split_camel_case
 _DASHES = "".join(chr(code) for code in range(0x2010, 0x2016)) + chr(0x2212)
 _SEPARATORS = re.compile("[_\\-" + _DASHES + "]+")
 _ALNUM = re.compile(r"[^\W_]+", re.UNICODE)
-_TARGETS = ("lightweight", "llm", "rag")
 
 # Upper bound on children/parents rendered per concept, to keep texts and
 # prompts from ballooning on wide taxonomies.
@@ -63,7 +62,6 @@ class EncodedCorpus:
     """Texts and structured records, index-aligned with ontology concepts."""
 
     view: EncodingView
-    target: str
     iris: tuple[str, ...]
     texts: tuple[str, ...]
     structured: tuple[ConceptText, ...]
@@ -100,25 +98,21 @@ def _safe_label(label: str, iri: str) -> str:
     return normalized or label.strip() or iri
 
 
-def encode(ontology: Ontology, view: EncodingView | str, target: str = "lightweight") -> EncodedCorpus:
+def encode(ontology: Ontology, view: EncodingView | str) -> EncodedCorpus:
     """Encode every concept of an ontology under one view.
 
     Args:
         ontology: parsed ontology; must contain at least one concept.
         view: C, CC, or CP.
-        target: consuming aligner family; "rag" keeps plain-label texts for
-            its retriever while the structured records follow ``view``.
 
     Returns:
         An :class:`EncodedCorpus` whose texts are non-empty and lowercase.
 
     Raises:
         EmptyOntology: the ontology has no concepts.
-        ConfigError: unknown target or view.
+        ConfigError: unknown view.
     """
     view = EncodingView.parse(view)
-    if target not in _TARGETS:
-        raise ConfigError(f"unknown encoding target: {target!r}")
     if not ontology.concepts:
         raise EmptyOntology(f"no concepts in {ontology.source_path or 'ontology'}")
 
@@ -139,22 +133,15 @@ def encode(ontology: Ontology, view: EncodingView | str, target: str = "lightwei
             for iri in related_iris[:RELATED_LABEL_CAP]
             if iri in index
         )
-
-        if target == "llm":
-            label_segment = label
-        else:
-            synonyms = _unique_normalized(concept.synonyms, label)
-            label_segment = f"{label} ({'; '.join(synonyms)})" if synonyms else label
-        text_view = EncodingView.C if target == "rag" else view
-        text_related = () if target == "rag" else related
+        synonyms = _unique_normalized(concept.synonyms, label)
+        label_segment = f"{label} ({'; '.join(synonyms)})" if synonyms else label
 
         iris.append(concept.iri)
-        texts.append(render_concept(label_segment, text_related, text_view))
+        texts.append(render_concept(label_segment, related, view))
         structured.append(ConceptText(concept_label=label, related_labels=related))
 
     return EncodedCorpus(
         view=view,
-        target=target,
         iris=tuple(iris),
         texts=tuple(texts),
         structured=tuple(structured),

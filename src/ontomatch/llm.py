@@ -1,15 +1,16 @@
 """Completion-endpoint clients and yes/no decisions from token logprobs.
 
 The HTTP client speaks a plain completions protocol: a JSON POST with
-``model``, ``prompt``, ``max_tokens``, ``temperature``, and ``logprobs``,
-answered with ``choices[0].text`` and, when the provider supports it,
-``choices[0].logprobs.top_logprobs[0]`` as a token -> logprob map.
+``model``, ``prompt``, ``max_tokens``, ``temperature``, and ``logprobs``
+(sent on every request), answered with ``choices[0].text`` and, when the
+provider supports it, ``choices[0].logprobs.top_logprobs[0]`` as a
+token -> logprob map.
 
 Binary decisions read the first generated position's top candidates, match
-them case-insensitively against the two options, and renormalize so the
-confidence is the probability of the yes option.  Providers without
-logprobs fall back to plain completion plus label mapping at a flat 0.5
-confidence, marked on the decision.
+them case-insensitively against "yes" and "no", and renormalize so the
+confidence is the probability of "yes".  Providers without logprobs fall
+back to plain completion plus label mapping at a flat 0.5 confidence,
+marked on the decision.
 
 The mock client is a pure function of its inputs: confidence comes from an
 explicit rule table, or else from the fuzzy ratio of the concept labels.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, LogprobsUnsupported, ProviderError
 from .fuzzy import fuzzy_ratio
@@ -29,6 +30,7 @@ from .postprocess import LabelMapper, LabelMapperConfig
 from .transport import connection_pool, post_json
 
 _TOP_LOGPROBS = 20
+_OPTIONS = ("yes", "no")
 # Confidence for a pair the rule table does not list.
 MOCK_DEFAULT_CONFIDENCE = 0.2
 
@@ -93,7 +95,7 @@ class HttpLLMClient:
         cfg.validate()
         self.cfg = cfg
         self._pool = connection_pool(cfg.endpoint, maxsize=cfg.batch_size)
-        self._mapper_cache: dict[tuple[str, ...], LabelMapper] = {}
+        self._mapper = LabelMapper(LabelMapperConfig(labels=_OPTIONS))
 
     def close(self) -> None:
         """Close the pooled connections."""
@@ -103,28 +105,20 @@ class HttpLLMClient:
 
     def complete(self, prompt: str) -> str:
         """Generate a completion for one prompt."""
-        text, _ = self._request(prompt, want_logprobs=False)
+        text, _ = self._request(prompt)
         return text
 
-    def binary_decision(
-        self,
-        prompt: str,
-        options: Sequence[str] = ("yes", "no"),
-        meta: tuple[str, str] | None = None,
-    ) -> Decision:
-        """Decide between two options from first-token probabilities.
+    def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
+        """Decide yes or no from first-token probabilities.
 
-        ``options[0]`` plays the yes role; the confidence is its
-        renormalized probability mass.  Swapping the options maps a
-        confidence c to 1 - c.
+        The confidence is the renormalized probability mass of "yes".
         """
-        if len(options) != 2:
-            raise ConfigError(f"binary_decision needs exactly 2 options, got {len(options)}")
-        text, top_logprobs = self._request(prompt, want_logprobs=True)
+        text, top_logprobs = self._request(prompt)
         try:
-            yes_mass, no_mass = self._option_masses(top_logprobs, options)
+            yes_mass, no_mass = self._option_masses(top_logprobs)
         except LogprobsUnsupported:
-            return self._fallback_decision(text, options)
+            label, _ = self._mapper.map(text)
+            return Decision(label=label, confidence=0.5, fallback=True)
         confidence = yes_mass / (yes_mass + no_mass)
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
@@ -135,13 +129,9 @@ class HttpLLMClient:
         """Complete prompts with at most ``batch_size`` requests in flight."""
         return self._pooled(self.complete, prompts)
 
-    def decide_many(
-        self,
-        items: Sequence[tuple[str, tuple[str, str] | None]],
-        options: Sequence[str] = ("yes", "no"),
-    ) -> list[Decision]:
+    def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
         """Binary-decide (prompt, meta) items, preserving input order."""
-        return self._pooled(lambda item: self.binary_decision(item[0], options, item[1]), items)
+        return self._pooled(lambda item: self.binary_decision(*item), items)
 
     def _pooled(self, fn, items: Sequence) -> list:
         if not items:
@@ -152,7 +142,7 @@ class HttpLLMClient:
 
     # -- internals -----------------------------------------------------
 
-    def _request(self, prompt: str, want_logprobs: bool) -> tuple[str, dict[str, float] | None]:
+    def _request(self, prompt: str) -> tuple[str, dict[str, float] | None]:
         payload = {
             "model": self.cfg.model_id,
             "prompt": prompt,
@@ -164,42 +154,30 @@ class HttpLLMClient:
         try:
             choice = body["choices"][0]
             text = choice.get("text", "")
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError, TypeError, AttributeError):
             raise ProviderError(200, "completion response lacks choices[0]") from None
+        logprobs = choice.get("logprobs")
+        positions = logprobs.get("top_logprobs") if isinstance(logprobs, dict) else None
         top = None
-        if want_logprobs:
-            logprobs = choice.get("logprobs") or {}
-            positions = logprobs.get("top_logprobs") or []
-            if positions and isinstance(positions[0], dict) and positions[0]:
-                top = positions[0]
+        if isinstance(positions, list) and positions and isinstance(positions[0], dict):
+            top = positions[0]
         return text, top
 
     @staticmethod
-    def _option_masses(top_logprobs: dict[str, float] | None, options: Sequence[str]) -> tuple[float, float]:
+    def _option_masses(top_logprobs: dict[str, float] | None) -> tuple[float, float]:
         if not top_logprobs:
             raise LogprobsUnsupported("provider reported no token logprobs")
         masses = [0.0, 0.0]
-        folded = [opt.strip().casefold() for opt in options]
         for token, logprob in top_logprobs.items():
             candidate = token.strip().casefold()
             if not candidate:
                 continue
-            for i, option in enumerate(folded):
+            for i, option in enumerate(_OPTIONS):
                 if candidate == option or option.startswith(candidate):
                     masses[i] += math.exp(logprob)
         if masses[0] + masses[1] == 0.0:
             raise LogprobsUnsupported("no top candidate matches either option")
         return masses[0], masses[1]
-
-    def _fallback_decision(self, text: str, options: Sequence[str]) -> Decision:
-        key = tuple(options)
-        mapper = self._mapper_cache.get(key)
-        if mapper is None:
-            mapper = LabelMapper(LabelMapperConfig(labels=key))
-            self._mapper_cache[key] = mapper
-        label, _ = mapper.map(text)
-        role = "yes" if label == options[0] else "no"
-        return Decision(label=role, confidence=0.5, fallback=True)
 
 
 class MockLLMClient:
@@ -232,12 +210,7 @@ class MockLLMClient:
         self.call_count += 1
         return self.canned.get(prompt, self.default_completion)
 
-    def binary_decision(
-        self,
-        prompt: str,
-        options: Sequence[str] = ("yes", "no"),
-        meta: tuple[str, str] | None = None,
-    ) -> Decision:
+    def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
         self.call_count += 1
         if meta is None:
             raise ConfigError("the mock llm needs (source, target) labels in meta")
@@ -252,12 +225,8 @@ class MockLLMClient:
     def complete_many(self, prompts: Sequence[str]) -> list[str]:
         return [self.complete(p) for p in prompts]
 
-    def decide_many(
-        self,
-        items: Sequence[tuple[str, tuple[str, str] | None]],
-        options: Sequence[str] = ("yes", "no"),
-    ) -> list[Decision]:
-        return [self.binary_decision(prompt, options, meta) for prompt, meta in items]
+    def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
+        return [self.binary_decision(prompt, meta) for prompt, meta in items]
 
 
 def make_llm_client(cfg: LLMConfig) -> HttpLLMClient | MockLLMClient:

@@ -556,6 +556,10 @@ def _triples_from_turtle(text: str) -> list[Triple]:
 # --------------------------------------------------------------------------
 
 
+# Leaf header elements kept as the AlignmentDocument fields of the same name.
+_ALIGNMENT_HEADERS = ("onto1", "onto2", "level", "type")
+
+
 def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1] if "}" in tag else tag
 
@@ -581,16 +585,22 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
         raise MalformedDocument("alignment JSON must be an array of cells")
     cells = []
     for index, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise MalformedDocument(f"alignment JSON cell {index} is not an object")
+        if "source" not in item or "target" not in item:
+            raise MalformedDocument(f"alignment JSON cell {index} lacks source/target")
+        score = item.get("score", 1.0)
         try:
-            cells.append(Correspondence(
-                source=str(item["source"]),
-                target=str(item["target"]),
-                relation=str(item.get("relation", "=")),
-                score=float(item.get("score", 1.0)),
-                provenance=str(item.get("provenance", "")),
-            ))
-        except (KeyError, TypeError, ValueError):
-            raise MalformedDocument(f"alignment JSON cell {index} lacks source/target") from None
+            score = float(score)
+        except (TypeError, ValueError):
+            raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}") from None
+        cells.append(Correspondence(
+            source=str(item["source"]),
+            target=str(item["target"]),
+            relation=str(item.get("relation", "=")),
+            score=score,
+            provenance=str(item.get("provenance", "")),
+        ))
     return cells
 
 
@@ -600,7 +610,8 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
     JSON cells are kept as written, duplicates included.  XML gives one
     cell per ``Cell`` element, in document order, duplicate (source,
     target, relation) triples collapsed to the first occurrence; missing
-    relations default to "=", missing measures to 1.0.
+    relations default to "=", missing measures to 1.0.  The leaf
+    ``onto1``, ``onto2``, ``level`` and ``type`` headers are kept.
 
     Raises:
         FileNotFoundError: the path does not exist.
@@ -616,14 +627,11 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
         line, column = exc.position if exc.position else (None, None)
         raise MalformedDocument(f"invalid alignment XML: {exc.msg.split(':')[0]}", line, column) from exc
 
-    onto1 = ""
-    onto2 = ""
+    headers = {}
     for elem in root.iter():
         name = _local_name(elem.tag)
-        if name == "onto1" and not list(elem):
-            onto1 = (elem.text or "").strip()
-        elif name == "onto2" and not list(elem):
-            onto2 = (elem.text or "").strip()
+        if name in _ALIGNMENT_HEADERS and not list(elem):
+            headers[name] = (elem.text or "").strip()
 
     cells: list[Correspondence] = []
     seen: set[tuple[str, str, str]] = set()
@@ -646,4 +654,4 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
             continue
         seen.add(key)
         cells.append(Correspondence(entity1, entity2, relation, measure))
-    return AlignmentDocument(cells=tuple(cells), onto1=onto1, onto2=onto2)
+    return AlignmentDocument(cells=tuple(cells), **headers)

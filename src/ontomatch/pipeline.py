@@ -26,7 +26,9 @@ from .llm import LLMConfig
 from .mapping import AlignmentDocument, Correspondence
 from .parsing import parse_ontology, parse_reference_alignment
 from .postprocess import PostprocessConfig, apply_postprocess
-from .rag import DEFAULT_PAIR_CAP, Exemplar, PromptTemplate, RAGConfig, align_llm_pairwise, align_rag
+from .rag import (
+    DEFAULT_PAIR_CAP, PromptTemplate, RAGConfig, align_llm_pairwise, align_rag, exemplars_from_json,
+)
 from .retrieval import RetrievalConfig, align_retrieval
 
 _METHODS = ("fuzzy", "retrieval", "llm", "rag", "fewshot_rag")
@@ -93,7 +95,6 @@ class PipelineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         out = dataclasses.asdict(self)
-        out["rag"]["view"] = self.rag.view.value
         out["rag"]["exemplars"] = [dataclasses.asdict(e) for e in self.rag.exemplars]
         return out
 
@@ -120,19 +121,8 @@ def _rag_section(data: dict | None) -> RAGConfig:
     kwargs["retrieval"] = _section(RetrievalConfig, data.pop("retrieval", None), "rag.retrieval")
     kwargs["llm"] = _section(LLMConfig, data.pop("llm", None), "rag.llm")
     kwargs["template"] = _section(PromptTemplate, data.pop("template", None), "rag.template")
-    if "view" in data:
-        kwargs["view"] = EncodingView.parse(data.pop("view"))
     if "exemplars" in data:
-        raw = data.pop("exemplars")
-        if not isinstance(raw, list):
-            raise ConfigError("rag.exemplars must be an array")
-        exemplars = []
-        for i, item in enumerate(raw):
-            try:
-                exemplars.append(Exemplar(str(item["source"]), str(item["target"]), str(item["answer"])))
-            except (KeyError, TypeError):
-                raise ConfigError(f"rag.exemplars[{i}] needs source/target/answer") from None
-        kwargs["exemplars"] = tuple(exemplars)
+        kwargs["exemplars"] = exemplars_from_json(data.pop("exemplars"), "rag.exemplars")
     allowed = {f.name for f in dataclasses.fields(RAGConfig)} - set(kwargs)
     unknown = set(data) - allowed
     if unknown:
@@ -221,9 +211,8 @@ def run_pipeline(
 
     corpora = None
     if cfg.method in ("fuzzy", "retrieval", "llm"):
-        encode_target = "llm" if cfg.method == "llm" else "lightweight"
         with clock.time("encode"):
-            corpora = (encode(source, view, encode_target), encode(target, view, encode_target))
+            corpora = (encode(source, view), encode(target, view))
     else:
         clock.seconds["encode"] = 0.0  # rag encodes inside the aligner
 
@@ -243,9 +232,8 @@ def run_pipeline(
             )
         else:
             shots = 0 if cfg.method == "rag" else (cfg.rag.shots or _DEFAULT_FEWSHOT)
-            rag_cfg = replace(cfg.rag, view=view, shots=shots)
             correspondences = align_rag(
-                source, target, rag_cfg,
+                source, target, replace(cfg.rag, shots=shots), view=view,
                 client=llm_client, provider=embedding_provider, seed=cfg.seed,
             )
 

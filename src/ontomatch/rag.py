@@ -6,9 +6,10 @@ quadratic in ontology size, so a hard pair cap refuses oversized inputs
 up front.
 
 The RAG aligner first retrieves a shortlist of candidate targets per
-source over plain concept labels, then asks the model only about the
-shortlisted pairs using first-position token probabilities, keeping pairs
-whose yes-confidence reaches the threshold.  Few-shot prompting prepends
+source over C-view texts (label and synonyms), then asks the model only
+about the shortlisted pairs, with prompts rendered at the requested view,
+using first-position token probabilities, keeping pairs whose
+yes-confidence reaches the threshold.  Few-shot prompting prepends
 worked examples.  Decided pairs are appended to a JSON-lines journal per
 completed batch, so an interrupted run resumes without re-asking.
 """
@@ -87,7 +88,6 @@ class RAGConfig:
         llm: endpoint settings for the generator.
         llm_threshold: minimum yes-confidence to keep a pair (T_l).
         shots: worked examples per prompt (0 = plain zero-shot RAG).
-        view: how much hierarchy context prompts carry (C, CC, CP).
         exemplars: few-shot examples; ignored when shots == 0.
         exemplars_path: optional JSON file overriding ``exemplars``.
         journal_path: optional JSON-lines checkpoint for resumable runs.
@@ -97,7 +97,6 @@ class RAGConfig:
     llm: LLMConfig = field(default_factory=LLMConfig)
     llm_threshold: float = 0.5
     shots: int = 0
-    view: EncodingView = EncodingView.C
     exemplars: tuple[Exemplar, ...] = DEFAULT_EXEMPLARS
     exemplars_path: str | None = None
     template: PromptTemplate = field(default_factory=PromptTemplate)
@@ -115,25 +114,34 @@ class RAGConfig:
             exemplar.validate()
 
 
+def exemplars_from_json(raw: object, where: str) -> tuple[Exemplar, ...]:
+    """Read decoded JSON as an array of source/target/answer exemplars.
+
+    ``where`` names the array in error messages.
+    """
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} must be a JSON array")
+    out = []
+    for i, item in enumerate(raw):
+        try:
+            exemplar = Exemplar(str(item["source"]), str(item["target"]), str(item["answer"]))
+        except (KeyError, TypeError):
+            raise ConfigError(f"{where}[{i}] needs source/target/answer") from None
+        exemplar.validate()
+        out.append(exemplar)
+    return tuple(out)
+
+
 def load_exemplars(path: str | Path) -> tuple[Exemplar, ...]:
     """Load few-shot exemplars from a JSON array of source/target/answer."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"exemplar file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ConfigError(f"exemplar file {path} must hold a JSON array")
-    out = []
-    for i, item in enumerate(raw):
-        try:
-            exemplar = Exemplar(str(item["source"]), str(item["target"]), str(item["answer"]))
-        except (KeyError, TypeError):
-            raise ConfigError(f"exemplar {i} in {path} needs source/target/answer") from None
-        exemplar.validate()
-        out.append(exemplar)
-    if not out:
+    exemplars = exemplars_from_json(raw, f"exemplar file {path}")
+    if not exemplars:
         raise ConfigError(f"exemplar file {path} is empty")
-    return tuple(out)
+    return exemplars
 
 
 def build_prompt(
@@ -156,9 +164,9 @@ def build_prompt(
     return "".join(parts)
 
 
-def _prompt_text(corpus: EncodedCorpus, index: int, view: EncodingView) -> str:
+def _prompt_text(corpus: EncodedCorpus, index: int) -> str:
     record = corpus.structured[index]
-    return render_concept(record.concept_label, record.related_labels, view)
+    return render_concept(record.concept_label, record.related_labels, corpus.view)
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +198,6 @@ def align_llm_pairwise(
     if mapper is None:
         mapper = LabelMapper(LabelMapperConfig())
     template = template or PromptTemplate()
-    view = source.view
 
     pairs = [(i, j) for i in range(len(source.texts)) for j in range(len(target.texts))]
     out: list[Correspondence] = []
@@ -200,7 +207,7 @@ def align_llm_pairwise(
         for start in range(0, len(pairs), cfg.batch_size):
             batch = pairs[start:start + cfg.batch_size]
             prompts = [
-                build_prompt(_prompt_text(source, i, view), _prompt_text(target, j, view), (), template)
+                build_prompt(_prompt_text(source, i), _prompt_text(target, j), (), template)
                 for i, j in batch
             ]
             for (i, j), generated in zip(batch, client.complete_many(prompts)):
@@ -238,15 +245,16 @@ def align_rag(
     target: Ontology,
     cfg: RAGConfig,
     *,
+    view: EncodingView = EncodingView.C,
     client=None,
     provider=None,
     seed: int = 0,
 ) -> list[Correspondence]:
     """Retrieve candidate pairs, then keep those the model says yes to.
 
-    Retrieval always runs over plain concept labels; prompts render the
-    configured view.  Output is sorted by source concept, then descending
-    confidence, then target IRI.
+    Retrieval always runs over C-view texts; prompts render ``view``.
+    Output is sorted by source concept, then descending confidence, then
+    target IRI.
     """
     cfg.validate()
     exemplars = load_exemplars(cfg.exemplars_path) if cfg.exemplars_path else cfg.exemplars
@@ -254,8 +262,11 @@ def align_rag(
     if cfg.shots and len(shots) < cfg.shots:
         raise ConfigError(f"{cfg.shots} shots requested but only {len(shots)} exemplars available")
 
-    src_corpus = encode(source, cfg.view, target="rag")
-    tgt_corpus = encode(target, cfg.view, target="rag")
+    src_corpus = encode(source, EncodingView.C)
+    tgt_corpus = encode(target, EncodingView.C)
+    src_prompts, tgt_prompts = src_corpus, tgt_corpus
+    if view is not EncodingView.C:
+        src_prompts, tgt_prompts = encode(source, view), encode(target, view)
     src_index = {iri: i for i, iri in enumerate(src_corpus.iris)}
     tgt_index = {iri: i for i, iri in enumerate(tgt_corpus.iris)}
 
@@ -277,10 +288,7 @@ def align_rag(
             items = []
             for i, j in batch:
                 prompt = build_prompt(
-                    _prompt_text(src_corpus, i, cfg.view),
-                    _prompt_text(tgt_corpus, j, cfg.view),
-                    shots,
-                    cfg.template,
+                    _prompt_text(src_prompts, i), _prompt_text(tgt_prompts, j), shots, cfg.template,
                 )
                 meta = (src_corpus.structured[i].concept_label, tgt_corpus.structured[j].concept_label)
                 items.append((prompt, meta))

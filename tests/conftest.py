@@ -95,12 +95,10 @@ def make_corpus(
     texts: list[str],
     view: EncodingView = EncodingView.C,
     prefix: str = "http://example.org/src#",
-    target: str = "lightweight",
 ) -> EncodedCorpus:
     """Build an encoded corpus directly from texts, skipping parsing."""
     return EncodedCorpus(
         view=view,
-        target=target,
         iris=tuple(f"{prefix}C{i:03d}" for i in range(len(texts))),
         texts=tuple(texts),
         structured=tuple(ConceptText(concept_label=text) for text in texts),

@@ -14,6 +14,7 @@ import json
 import random
 import resource
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from ontomatch.mapping import Correspondence
 from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 from ontomatch.pipeline import PipelineConfig, run_pipeline
 from ontomatch.postprocess import cardinality_filter
-from ontomatch.rag import RAGConfig, align_rag
+from ontomatch.rag import DEFAULT_EXEMPLARS, RAGConfig, align_rag, load_exemplars
 from ontomatch.retrieval import (
     MockEmbeddingProvider,
     RetrievalConfig,
@@ -41,6 +42,7 @@ from ontomatch.retrieval import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RUN_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("exemplars"))
 
 WORDS = [
     "alloy", "steel", "iron", "copper", "zinc", "oxide", "heat", "melt",
@@ -381,3 +383,28 @@ def test_shipped_config_fixtures_run_unchanged(tmp_path, capsys):
         assert code == 0, f"{name} failed to run"
         assert out.exists()
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def four_concept_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pair")
+    labels = ["alloy", "copper", "zinc", "quartz"]
+    source = ontology_from_labels(root / "src.owl", labels, base="http://example.org/a#")
+    target = ontology_from_labels(root / "tgt.owl", labels, base="http://example.org/b#")
+    return source, target
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=lambda path: path.name)
+def test_every_shipped_config_validates_and_runs(config, four_concept_pair, tmp_path, capsys):
+    source, target = four_concept_pair
+    cfg = PipelineConfig.from_dict(json.loads(config.read_text(encoding="utf-8")))
+    replace(cfg, source_path=str(source), target_path=str(target)).validate()
+    code = main([
+        "align", "--config", str(config), "--source", str(source), "--target", str(target),
+        "--endpoint", "mock:", "--out", str(tmp_path / "out.xml"),
+    ])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_shipped_exemplars_load():
+    assert load_exemplars(CONFIG_DIR / "exemplars-example.json") == DEFAULT_EXEMPLARS

@@ -124,6 +124,18 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert main(["align", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+def test_rag_view_key_is_rejected(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    config = tmp_path / "rag-view.json"
+    config.write_text(json.dumps({"method": "rag", "rag": {"view": "CC"}}), encoding="utf-8")
+    code = main([
+        "align", "--config", str(config), "--source", str(source), "--target", str(target),
+        "--out", str(tmp_path / "a.xml"),
+    ])
+    assert code == 1
+    assert "unknown config key 'view' in section 'rag'" in capsys.readouterr().err
+
+
 def test_eval_prints_metric_json(corpus, tmp_path, capsys):
     _, _, reference = corpus
     predicted = tmp_path / "pred.json"
@@ -203,9 +215,17 @@ def test_convert_preserves_onto_headers_from_xml(corpus, tmp_path, capsys):
     out = tmp_path / "alignment.xml"
     main(["align", "--source", str(source), "--target", str(target), "--out", str(out)])
     capsys.readouterr()
-    copy = tmp_path / "copy.xml"
-    assert main(["convert", "--in", str(out), "--out", str(copy), "--format", "xml"]) == 0
-    assert copy.read_bytes() == out.read_bytes()
+    leveled = tmp_path / "leveled.xml"
+    leveled.write_text(
+        out.read_text(encoding="utf-8")
+        .replace("<level>0</level>", "<level>1</level>")
+        .replace("<type>??</type>", "<type>11</type>"),
+        encoding="utf-8",
+    )
+    for original in (out, leveled):
+        copy = tmp_path / "copy.xml"
+        assert main(["convert", "--in", str(original), "--out", str(copy), "--format", "xml"]) == 0
+        assert copy.read_bytes() == original.read_bytes()
 
 
 def test_convert_rejects_unknown_format(tmp_path, capsys):

@@ -132,27 +132,13 @@ def test_synonyms_included_for_lightweight_but_not_llm(tmp_path):
         [{"iri": BASE + "Alloy", "labels": ["Alloy"], "synonyms": ["MetalAlloy", "alloy"]}],
     )
     onto = parse_ontology(path)
-    light = encode(onto, "C", target="lightweight")
+    light = encode(onto, "C")
     # synonyms are normalized, deduplicated against the label, and appended
     assert light.texts == ("alloy (metal alloy)",)
-    llm = encode(onto, "C", target="llm")
-    assert llm.texts == ("alloy",)
-    assert llm.structured[0].concept_label == "alloy"
-
-
-def test_rag_target_keeps_plain_texts_with_structured_view(family):
-    corpus = encode(family, "CC", target="rag")
-    # retrieval texts stay at the plain-label view ...
-    assert corpus.texts == ("alloy", "bronze", "steel")
-    # ... while the structured records carry the hierarchy for prompts
-    alloy = corpus.structured[list(corpus.iris).index(BASE + "Alloy")]
-    assert alloy.related_labels == ("bronze", "steel")
-    assert corpus.view is EncodingView.CC
+    assert light.structured[0].concept_label == "alloy"
 
 
 def test_encode_rejects_bad_inputs(family):
-    with pytest.raises(ConfigError):
-        encode(family, "C", target="mystery")
     with pytest.raises(ConfigError):
         encode(family, "CZ")
 

@@ -171,6 +171,15 @@ def test_json_loader_rejects_bad_documents(tmp_path):
     no_target.write_text('[{"source": "http://a#1"}]', encoding="utf-8")
     with pytest.raises(MalformedDocument):
         load_json_alignment(no_target)
+    for payload, message in [
+        ('["http://a#1"]', "cell 0 is not an object"),
+        ('[{"source": "http://a#1"}]', "cell 0 lacks source/target"),
+        ('[{"source": "a", "target": "b", "score": "high"}]', "cell 0 has a non-numeric score 'high'"),
+    ]:
+        bad_cell = tmp_path / "bad_cell.json"
+        bad_cell.write_text(payload, encoding="utf-8")
+        with pytest.raises(MalformedDocument, match=message):
+            load_json_alignment(bad_cell)
 
 
 # -- validation ------------------------------------------------------------------

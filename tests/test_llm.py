@@ -51,15 +51,6 @@ def test_confidence_renormalizes_matched_masses(http_server):
     assert decision.fallback is False
 
 
-def test_swapping_options_flips_confidence(http_server):
-    http_server.app = completion_app(
-        "no", {" yes": math.log(0.6), " No": math.log(0.2)}
-    )
-    decision = client_for(http_server).binary_decision("prompt", options=("no", "yes"))
-    assert decision.confidence == pytest.approx(0.25)
-    assert decision.label == "no"
-
-
 def test_prefix_tokens_count_toward_their_option(http_server):
     http_server.app = completion_app(
         "y", {" Y": math.log(0.4), " no": math.log(0.1)}
@@ -91,11 +82,6 @@ def test_unmatched_logprobs_fall_back_to_text(http_server):
     assert decision.confidence == 0.5
 
 
-def test_rejects_non_binary_option_lists(http_server):
-    with pytest.raises(ConfigError):
-        client_for(http_server).binary_decision("prompt", options=("yes",))
-
-
 # -- plain completion and the wire format -----------------------------------
 
 
@@ -111,6 +97,19 @@ def test_complete_returns_choice_text_and_sends_settings(http_server):
         "temperature": 0.5,
         "logprobs": 20,
     }
+
+
+def test_non_object_choice_is_a_provider_error(http_server):
+    http_server.app = lambda path, payload: (200, {"choices": ["text"]})
+    with pytest.raises(ProviderError):
+        client_for(http_server).binary_decision("prompt")
+
+
+def test_malformed_logprobs_fall_back_to_text(http_server):
+    http_server.app = lambda path, payload: (200, {"choices": [{"text": "yes", "logprobs": [0.5]}]})
+    client = client_for(http_server)
+    assert client.complete("prompt") == "yes"
+    assert client.binary_decision("prompt") == Decision(label="yes", confidence=0.5, fallback=True)
 
 
 def test_missing_choices_is_a_provider_error(http_server):

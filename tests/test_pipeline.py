@@ -7,7 +7,6 @@ import json
 import pytest
 from conftest import ontology_from_labels, write_reference_xml
 
-from ontomatch.encoding import EncodingView
 from ontomatch import pipeline
 from ontomatch.errors import ConfigError
 from ontomatch.fuzzy import FuzzyConfig
@@ -32,7 +31,7 @@ class RecordingClient:
     def __init__(self):
         self.items = []
 
-    def decide_many(self, items, options=("yes", "no")):
+    def decide_many(self, items):
         self.items.extend(items)
         return [Decision(label="yes", confidence=1.0) for _ in items]
 
@@ -78,7 +77,6 @@ def test_config_dict_roundtrip_preserves_everything():
             llm=LLMConfig(endpoint="http://h/v1", model_id="m2", batch_size=16),
             llm_threshold=0.6,
             shots=2,
-            view=EncodingView.CC,
             exemplars=(Exemplar("metal", "metallic", "yes"),),
             template=PromptTemplate(preamble="Same?"),
             journal_path="run.jsonl",
@@ -230,6 +228,22 @@ def test_fewshot_rag_respects_explicit_shot_count(corpus_paths, tmp_path):
     assert client.items and all(
         prompt.count("### Answer:") == 2 for prompt, _ in client.items
     )
+
+
+def test_rag_prompts_follow_the_top_level_view(tmp_path):
+    labels, hierarchy = ["alloy", "steel"], {1: [0]}
+    source = ontology_from_labels(tmp_path / "src.owl", labels, base=SRC_BASE, parents=hierarchy)
+    target = ontology_from_labels(tmp_path / "tgt.owl", labels, base=TGT_BASE, parents=hierarchy)
+    client = RecordingClient()
+    cfg = PipelineConfig(
+        source_path=str(source), target_path=str(target), method="rag", view="CP",
+        rag=RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
+        output_path=str(tmp_path / "alignment.xml"),
+    )
+    run_pipeline(cfg, llm_client=client)
+    prompts = [prompt for prompt, _ in client.items]
+    assert len(prompts) == 2
+    assert any("### First concept: steel, parents: alloy\n" in prompt for prompt in prompts)
 
 
 def test_json_reference_files_are_accepted(corpus_paths, tmp_path):

@@ -42,7 +42,7 @@ class RecordingClient:
         self.items: list[tuple[str, tuple[str, str] | None]] = []
         self.confidence = confidence
 
-    def decide_many(self, items, options=("yes", "no")):
+    def decide_many(self, items):
         self.items.extend(items)
         label = "yes" if self.confidence >= 0.5 else "no"
         return [Decision(label=label, confidence=self.confidence) for _ in items]
@@ -56,11 +56,11 @@ class FlakyClient(MockLLMClient):
         self.fail_on_batch = fail_on_batch
         self.batches = 0
 
-    def decide_many(self, items, options=("yes", "no")):
+    def decide_many(self, items):
         self.batches += 1
         if self.batches == self.fail_on_batch:
             raise RuntimeError("simulated crash")
-        return super().decide_many(items, options)
+        return super().decide_many(items)
 
 
 # -- prompts -------------------------------------------------------------------
@@ -345,8 +345,8 @@ def test_retrieval_sees_plain_labels_while_prompts_carry_hierarchy():
     )
     target = Ontology(concepts=target_concepts, source_path="<memory>", format="rdf-xml")
     client = RecordingClient()
-    cfg = RAGConfig(view=EncodingView.CC, retrieval=RetrievalConfig(top_k=1, threshold=0.9))
-    out = align_rag(source, target, cfg, client=client)
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9))
+    out = align_rag(source, target, cfg, view=EncodingView.CC, client=client)
     # identical plain labels matched despite the view asking for children
     assert len(out) == 2
     prompts = [prompt for prompt, _ in client.items]
