@@ -14,7 +14,6 @@ from .errors import (
     EmptyOntology,
     EndpointUnreachable,
     InvalidScore,
-    LogprobsUnsupported,
     MalformedDocument,
     MissingEntity,
     OntomatchError,
@@ -40,7 +39,7 @@ from .fuzzy import (
     token_set_ratio,
     weighted_token_set_ratio,
 )
-from .llm import Decision, HttpLLMClient, LLMConfig, MockLLMClient, make_llm_client
+from .llm import Decision, HttpLLMClient, LLMConfig, MockLLMClient, make_llm_client, read_answer
 from .mapping import AlignmentDocument, Correspondence
 from .parsing import (
     ConceptRecord,
@@ -52,12 +51,9 @@ from .parsing import (
 )
 from .pipeline import PipelineConfig, RunReport, run_pipeline
 from .postprocess import (
-    LabelMapper,
-    LabelMapperConfig,
     PostprocessConfig,
     apply_postprocess,
     cardinality_filter,
-    map_label,
     threshold_filter,
 )
 from .rag import (
@@ -103,9 +99,6 @@ __all__ = [
     "HttpLLMClient",
     "InvalidScore",
     "LLMConfig",
-    "LabelMapper",
-    "LabelMapperConfig",
-    "LogprobsUnsupported",
     "MalformedDocument",
     "Metrics",
     "MissingEntity",
@@ -148,10 +141,10 @@ __all__ = [
     "load_exemplars",
     "load_json_alignment",
     "make_llm_client",
-    "map_label",
     "normalize",
     "parse_ontology",
     "parse_reference_alignment",
+    "read_answer",
     "run_pipeline",
     "tfidf_fit",
     "threshold_filter",

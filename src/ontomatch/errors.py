@@ -68,10 +68,6 @@ class ProviderError(OntomatchError):
         self.body_excerpt = body_excerpt
 
 
-class LogprobsUnsupported(OntomatchError):
-    """The provider response carried no usable token log-probabilities."""
-
-
 class TemplateError(OntomatchError):
     """A prompt template is missing a required placeholder."""
 

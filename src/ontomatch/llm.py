@@ -8,9 +8,11 @@ token -> logprob map.
 
 Binary decisions read the first generated position's top candidates, match
 them case-insensitively against "yes" and "no", and renormalize so the
-confidence is the probability of "yes".  Providers without logprobs fall
-back to plain completion plus label mapping at a flat 0.5 confidence,
-marked on the decision.
+confidence is the probability of "yes".  When the provider sends no usable
+logprobs (none, none for either option, or a value that is not a
+log-probability), the decision falls back to the completion text at a flat
+0.5 confidence, marked on the decision, and :func:`read_answer` labels it:
+"yes" if the case-folded text contains "yes", else "no".
 
 The mock client is a pure function of its inputs: confidence comes from an
 explicit rule table, or else from the fuzzy ratio of the concept labels.
@@ -24,15 +26,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, LogprobsUnsupported, ProviderError
+from .errors import ConfigError, ProviderError
 from .fuzzy import fuzzy_ratio
-from .postprocess import LabelMapper, LabelMapperConfig
 from .transport import connection_pool, post_json
 
 _TOP_LOGPROBS = 20
 _OPTIONS = ("yes", "no")
 # Confidence for a pair the rule table does not list.
 MOCK_DEFAULT_CONFIDENCE = 0.2
+
+
+def read_answer(text: str) -> str:
+    """Read a generated answer: "yes" if its case-folded text contains "yes", else "no"."""
+    return "yes" if "yes" in text.casefold() else "no"
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,9 @@ class Decision:
 
     ``label`` is not required to be the 0.5-thresholded confidence;
     downstream stages threshold the confidence themselves.  ``fallback``
-    marks decisions that came from the text-completion path because the
-    provider reported no logprobs.
+    marks decisions that came from the completion text because the
+    provider sent no usable logprobs; their confidence is a flat 0.5 and
+    their label is :func:`read_answer` of the text.
     """
 
     label: str
@@ -95,7 +102,6 @@ class HttpLLMClient:
         cfg.validate()
         self.cfg = cfg
         self._pool = connection_pool(cfg.endpoint, maxsize=cfg.batch_size)
-        self._mapper = LabelMapper(LabelMapperConfig(labels=_OPTIONS))
 
     def close(self) -> None:
         """Close the pooled connections."""
@@ -114,12 +120,9 @@ class HttpLLMClient:
         The confidence is the renormalized probability mass of "yes".
         """
         text, top_logprobs = self._request(prompt)
-        try:
-            yes_mass, no_mass = self._option_masses(top_logprobs)
-        except LogprobsUnsupported:
-            label, _ = self._mapper.map(text)
-            return Decision(label=label, confidence=0.5, fallback=True)
-        confidence = yes_mass / (yes_mass + no_mass)
+        confidence = self._yes_confidence(top_logprobs)
+        if confidence is None:
+            return Decision(label=read_answer(text), confidence=0.5, fallback=True)
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
 
@@ -164,11 +167,19 @@ class HttpLLMClient:
         return text, top
 
     @staticmethod
-    def _option_masses(top_logprobs: dict[str, float] | None) -> tuple[float, float]:
+    def _yes_confidence(top_logprobs: dict[str, float] | None) -> float | None:
+        """The renormalized "yes" mass, or None when the map cannot give one.
+
+        None for an empty map, a map with no candidate for either option,
+        or a map holding any value that is not a log-probability: not a
+        number, a bool, NaN, or above 0.  A ``-inf`` logprob is mass 0.
+        """
         if not top_logprobs:
-            raise LogprobsUnsupported("provider reported no token logprobs")
+            return None
         masses = [0.0, 0.0]
         for token, logprob in top_logprobs.items():
+            if type(logprob) not in (int, float) or not logprob <= 0.0:
+                return None
             candidate = token.strip().casefold()
             if not candidate:
                 continue
@@ -176,8 +187,8 @@ class HttpLLMClient:
                 if candidate == option or option.startswith(candidate):
                     masses[i] += math.exp(logprob)
         if masses[0] + masses[1] == 0.0:
-            raise LogprobsUnsupported("no top candidate matches either option")
-        return masses[0], masses[1]
+            return None
+        return masses[0] / (masses[0] + masses[1])
 
 
 class MockLLMClient:

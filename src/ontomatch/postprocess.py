@@ -1,87 +1,18 @@
-"""Filtering and label-mapping stages applied after alignment.
+"""Filters applied to an alignment after it is made.
 
 * :func:`threshold_filter` drops correspondences below a score floor.
 * :func:`cardinality_filter` optionally enforces one-to-one mappings with
   a greedy highest-score-first sweep.
-* :func:`map_label` turns free-form generated text into one of a fixed set
-  of labels, for reading yes/no answers out of completions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .mapping import Correspondence
-from .retrieval import TfidfModel
 
 _CARDINALITIES = ("many_to_many", "one_to_one_greedy")
-
-
-@dataclass(frozen=True)
-class LabelMapperConfig:
-    """Label set for :func:`map_label`.
-
-    Attributes:
-        labels: candidate labels in priority order; order breaks ties.
-        synonyms: label -> extra surface forms that also indicate it.
-    """
-
-    labels: tuple[str, ...] = ("yes", "no")
-    synonyms: dict[str, tuple[str, ...]] = field(default_factory=dict, hash=False)
-
-    def validate(self) -> None:
-        if len(self.labels) < 2:
-            raise ConfigError("label mapper needs at least two labels")
-        if len(set(self.labels)) != len(self.labels):
-            raise ConfigError("label mapper labels must be unique")
-        for label in self.synonyms:
-            if label not in self.labels:
-                raise ConfigError(f"synonym map names unknown label {label!r}")
-
-
-class LabelMapper:
-    """Maps generated text onto the closest configured label.
-
-    A case-folded substring hit on a label string itself short-circuits
-    with confidence 1.0.  Otherwise every surface form (labels plus
-    synonyms) becomes one TF-IDF document and the best cosine against the
-    generated text wins; ties fall to the earlier label in the configured
-    order.  Text sharing no vocabulary with any surface maps to the first
-    label with confidence 0.0.
-    """
-
-    def __init__(self, cfg: LabelMapperConfig | None = None):
-        self.cfg = cfg or LabelMapperConfig()
-        self.cfg.validate()
-        self._surfaces: list[tuple[str, str]] = []  # (owning label, surface)
-        for label in self.cfg.labels:
-            self._surfaces.append((label, label))
-            for synonym in self.cfg.synonyms.get(label, ()):
-                self._surfaces.append((label, synonym))
-        self._model = TfidfModel().fit([surface for _, surface in self._surfaces])
-        self._matrix = self._model.transform([surface for _, surface in self._surfaces])
-
-    def map(self, text: str) -> tuple[str, float]:
-        folded = text.casefold()
-        for label in self.cfg.labels:
-            if label.casefold() in folded:
-                return label, 1.0
-        query = self._model.transform([text])
-        sims = np.asarray((query @ self._matrix.T).todense()).ravel()
-        best_label = self.cfg.labels[0]
-        best_score = 0.0
-        for (label, _), sim in zip(self._surfaces, sims):
-            if sim > best_score:
-                best_label, best_score = label, float(sim)
-        return best_label, best_score
-
-
-def map_label(text: str, cfg: LabelMapperConfig | None = None) -> tuple[str, float]:
-    """One-shot form of :class:`LabelMapper` for single calls."""
-    return LabelMapper(cfg).map(text)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """LLM-backed alignment: exhaustive pairwise prompting and RAG.
 
 The pairwise aligner asks the model about every (source, target) pair and
-reads the answer out of the generated text with a label mapper.  That is
-quadratic in ontology size, so a hard pair cap refuses oversized inputs
-up front.
+keeps, at score 1.0, the pairs whose generated answer
+:func:`~ontomatch.llm.read_answer` reads as "yes".  That is quadratic in
+ontology size, so a hard pair cap refuses oversized inputs up front.
 
 The RAG aligner first retrieves a shortlist of candidate targets per
 source over C-view texts (label and synonyms), then asks the model only
@@ -24,10 +24,9 @@ from pathlib import Path
 
 from .encoding import EncodedCorpus, EncodingView, encode, render_concept
 from .errors import ConfigError, PairCapExceeded, TemplateError
-from .llm import LLMConfig, make_llm_client
+from .llm import LLMConfig, make_llm_client, read_answer
 from .mapping import Correspondence
 from .parsing import Ontology
-from .postprocess import LabelMapper, LabelMapperConfig
 from .retrieval import RetrievalConfig, align_retrieval
 
 logger = logging.getLogger(__name__)
@@ -179,12 +178,11 @@ def align_llm_pairwise(
     target: EncodedCorpus,
     cfg: LLMConfig,
     *,
-    mapper: LabelMapper | None = None,
     template: PromptTemplate | None = None,
     pair_cap: int = DEFAULT_PAIR_CAP,
     client=None,
 ) -> list[Correspondence]:
-    """Ask the model about every pair; keep the pairs mapped to yes.
+    """Ask the model about every pair; keep the pairs it answers yes to.
 
     Raises:
         PairCapExceeded: |source| * |target| exceeds ``pair_cap``.
@@ -195,8 +193,6 @@ def align_llm_pairwise(
         raise PairCapExceeded(
             f"{len(source.texts)}x{len(target.texts)} = {total} pairs exceed the cap of {pair_cap}"
         )
-    if mapper is None:
-        mapper = LabelMapper(LabelMapperConfig())
     template = template or PromptTemplate()
 
     pairs = [(i, j) for i in range(len(source.texts)) for j in range(len(target.texts))]
@@ -211,11 +207,8 @@ def align_llm_pairwise(
                 for i, j in batch
             ]
             for (i, j), generated in zip(batch, client.complete_many(prompts)):
-                label, confidence = mapper.map(generated)
-                if label == mapper.cfg.labels[0]:
-                    out.append(
-                        Correspondence(source.iris[i], target.iris[j], "=", confidence, "llm:pairwise")
-                    )
+                if read_answer(generated) == "yes":
+                    out.append(Correspondence(source.iris[i], target.iris[j], "=", 1.0, "llm:pairwise"))
     return out
 
 
@@ -234,9 +227,15 @@ def _load_journal(path: str) -> dict[tuple[str, str], float]:
             continue
         try:
             entry = json.loads(line)
-            decided[(entry["source"], entry["target"])] = float(entry["confidence"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            logger.warning("skipping malformed journal line %d in %s", line_no, path)
+            confidence = entry["confidence"]
+            # A confidence that is not a number in [0, 1] (a bool, NaN, 1.5) is as
+            # unusable as a torn line.
+            if type(confidence) in (int, float) and 0.0 <= confidence <= 1.0:
+                decided[(entry["source"], entry["target"])] = float(confidence)
+                continue
+        except (json.JSONDecodeError, KeyError, TypeError):
+            pass
+        logger.warning("skipping malformed journal line %d in %s", line_no, path)
     return decided
 
 

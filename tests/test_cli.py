@@ -97,6 +97,21 @@ def test_align_mock_rag_run_and_shot_flag(corpus, tmp_path, capsys):
     assert report["config"]["rag"]["retrieval"]["threshold"] == 0.4
 
 
+def test_align_survives_a_provider_sending_malformed_logprobs(corpus, tmp_path, http_server):
+    # A null logprob counts as no logprobs: each decision falls back to the text.
+    choice = {"text": "No.", "logprobs": {"top_logprobs": [{" yes": None, " no": -0.1}]}}
+    http_server.app = lambda path, payload: (200, {"choices": [choice]})
+    source, target, _ = corpus
+    out = tmp_path / "rag.json"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--method", "rag",
+        "--endpoint", http_server.url, "--tl", "0.6", "--out", str(out), "--format", "json",
+    ])
+    assert code == 0
+    assert len(load_json_alignment(out)) == 0
+    assert len(http_server.requests) > 0
+
+
 def test_unknown_method_exits_1_with_config_error(corpus, tmp_path, capsys):
     source, target, _ = corpus
     code = main([

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from ontomatch.llm import (
     LLMConfig,
     MockLLMClient,
     make_llm_client,
+    read_answer,
 )
 
 
@@ -80,6 +82,70 @@ def test_unmatched_logprobs_fall_back_to_text(http_server):
     assert decision.fallback is True
     assert decision.label == "no"
     assert decision.confidence == 0.5
+
+
+def test_neither_answer_falls_back_to_no(http_server):
+    http_server.app = completion_app("Maybe.")
+    decision = client_for(http_server).binary_decision("prompt")
+    assert decision == Decision(label="no", confidence=0.5, fallback=True)
+
+
+@pytest.mark.parametrize(
+    "top_logprobs",
+    [
+        {" yes": None, " no": math.log(0.2)},
+        {" yes": "-0.1", " no": math.log(0.2)},
+        {" yes": True, " no": math.log(0.2)},
+        {" yes": 1000.0, " no": math.log(0.2)},
+        {" yes": 0.5, " no": math.log(0.2)},
+        {" yes": math.nan, " no": math.log(0.2)},
+        {" yes": math.inf, " no": math.log(0.2)},
+        {" yes": math.log(0.9), " the": None},
+    ],
+    ids=["null", "string", "bool", "overflow", "positive", "nan", "infinity", "off-option-null"],
+)
+def test_logprob_that_is_not_a_log_probability_falls_back_to_text(http_server, top_logprobs):
+    # One bad value anywhere in the map means the provider sent no usable logprobs.
+    http_server.app = completion_app("Yes.", top_logprobs)
+    decision = client_for(http_server).binary_decision("prompt")
+    assert decision == Decision(label="yes", confidence=0.5, fallback=True)
+
+
+def test_negative_infinity_logprob_is_zero_mass(http_server):
+    http_server.app = completion_app("no", {" yes": -math.inf, " no": math.log(0.2)})
+    decision = client_for(http_server).binary_decision("prompt")
+    assert decision == Decision(label="no", confidence=0.0)
+
+
+# -- reading a generated answer ------------------------------------------------
+
+
+def test_read_answer_finds_yes_in_a_sentence():
+    assert read_answer("Yes, these are the same.") == "yes"
+
+
+def test_read_answer_exact_label_text():
+    assert read_answer("no") == "no"
+
+
+def test_read_answer_matches_inside_longer_words():
+    # any occurrence counts, as the substring rule says
+    assert read_answer("nothing matches") == "no"
+    assert read_answer("EYESORE") == "yes"
+
+
+def test_read_answer_without_yes_is_no():
+    assert read_answer("zzz qqq") == "no"
+    assert read_answer("") == "no"
+    assert read_answer("Maybe.") == "no"
+
+
+def test_read_answer_is_total_over_arbitrary_text():
+    rng = random.Random(32)
+    alphabet = "abcdefghij "
+    for _ in range(100):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+        assert read_answer(text) in ("yes", "no")
 
 
 # -- plain completion and the wire format -----------------------------------

@@ -1,8 +1,7 @@
-"""Threshold filtering, one-to-one cardinality, and label mapping."""
+"""Threshold filtering and one-to-one cardinality."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -12,12 +11,9 @@ from hypothesis import strategies as st
 from ontomatch.errors import ConfigError
 from ontomatch.mapping import Correspondence
 from ontomatch.postprocess import (
-    LabelMapper,
-    LabelMapperConfig,
     PostprocessConfig,
     apply_postprocess,
     cardinality_filter,
-    map_label,
     threshold_filter,
 )
 
@@ -112,72 +108,6 @@ def test_greedy_outputs_distinct_endpoints_on_random_input():
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
         cardinality_filter([], "hungarian")
-
-
-# -- map_label -----------------------------------------------------------------
-
-
-def test_label_substring_short_circuits_at_full_confidence():
-    assert map_label("Yes, these are the same.") == ("yes", 1.0)
-
-
-def test_exact_label_text():
-    assert map_label("no") == ("no", 1.0)
-
-
-def test_synonym_hit_scores_by_cosine_not_substring():
-    cfg = LabelMapperConfig(labels=("yes", "no"), synonyms={"yes": ("correct",)})
-    label, confidence = map_label("these concepts are equivalent and correct", cfg)
-    assert label == "yes"
-    # the only shared term is the synonym itself, a full-weight cosine hit
-    assert confidence == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_synonym_overlap_gives_partial_cosine():
-    cfg = LabelMapperConfig(labels=("yes", "no"), synonyms={"yes": ("correct answer",)})
-    label, confidence = map_label("correct", cfg)
-    assert label == "yes"
-    assert confidence == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-
-
-def test_cosine_ties_fall_to_earlier_label():
-    cfg = LabelMapperConfig(
-        labels=("yes", "no"),
-        synonyms={"yes": ("alpha beta",), "no": ("alpha gamma",)},
-    )
-    label, confidence = map_label("alpha", cfg)
-    assert label == "yes"
-    assert 0.0 < confidence < 1.0
-
-
-def test_disjoint_text_maps_to_first_label_at_zero():
-    assert map_label("zzz qqq") == ("yes", 0.0)
-    assert map_label("") == ("yes", 0.0)
-
-
-def test_substring_matches_inside_longer_words():
-    # documented behavior of the short-circuit: any occurrence counts
-    assert map_label("nothing matches")[0] == "no"
-
-
-def test_mapper_is_total_over_arbitrary_text():
-    mapper = LabelMapper()
-    rng = random.Random(32)
-    alphabet = "abcdefghij "
-    for _ in range(100):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
-        label, confidence = mapper.map(text)
-        assert label in ("yes", "no")
-        assert 0.0 <= confidence <= 1.0 + 1e-12
-
-
-def test_mapper_config_validation():
-    with pytest.raises(ConfigError):
-        LabelMapper(LabelMapperConfig(labels=("yes",)))
-    with pytest.raises(ConfigError):
-        LabelMapper(LabelMapperConfig(labels=("yes", "yes")))
-    with pytest.raises(ConfigError):
-        LabelMapper(LabelMapperConfig(labels=("yes", "no"), synonyms={"maybe": ("x",)}))
 
 
 # -- apply_postprocess ----------------------------------------------------------

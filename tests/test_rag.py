@@ -16,7 +16,6 @@ from ontomatch.errors import ConfigError, PairCapExceeded, TemplateError
 from ontomatch.fuzzy import fuzzy_ratio
 from ontomatch.llm import Decision, LLMConfig, MockLLMClient
 from ontomatch.parsing import ConceptRecord, Ontology
-from ontomatch.postprocess import LabelMapper, LabelMapperConfig
 from ontomatch.rag import (
     DEFAULT_EXEMPLARS,
     Exemplar,
@@ -159,18 +158,16 @@ def test_pairwise_keeps_exactly_the_yes_pairs():
     assert client.call_count == 4
 
 
-def test_pairwise_confidence_comes_from_the_mapper():
+def test_pairwise_drops_answers_that_say_neither_yes_nor_no():
     src = make_corpus(["alloy"])
-    tgt = make_corpus(["metal alloy"], prefix="http://example.org/b#")
-    canned = {build_prompt("alloy", "metal alloy"): "correct"}
-    mapper = LabelMapper(
-        LabelMapperConfig(labels=("yes", "no"), synonyms={"yes": ("correct answer",)})
-    )
-    out = align_llm_pairwise(
-        src, tgt, LLMConfig(), mapper=mapper, client=MockLLMClient(canned=canned)
-    )
-    assert len(out) == 1
-    assert out[0].score == pytest.approx(2.0 ** -0.5, abs=1e-12)
+    tgt = make_corpus(["metal alloy", "mineral"], prefix="http://example.org/b#")
+    canned = {
+        build_prompt("alloy", "metal alloy"): "Maybe.",
+        build_prompt("alloy", "mineral"): "",
+    }
+    client = MockLLMClient(canned=canned, default_completion="yes")
+    assert align_llm_pairwise(src, tgt, LLMConfig(), client=client) == []
+    assert client.call_count == 2
 
 
 def test_pairwise_refuses_oversized_products_before_any_request():
@@ -403,3 +400,21 @@ def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
     assert "journal line 2" in caplog.text
     assert client.call_count == 4  # the valid line is honored
     assert len(out) == 5
+
+
+def test_journal_lines_with_unusable_confidences_are_asked_again(tmp_path, caplog):
+    journal = tmp_path / "run.jsonl"
+    source, target = rag_fixtures()
+    lines = [
+        json.dumps({"source": source.concepts[i].iri, "target": target.concepts[i].iri,
+                    "confidence": confidence})
+        for i, confidence in ((0, math.nan), (1, 1.5))
+    ]
+    journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    client = MockLLMClient()
+    with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
+        out = align_rag(source, target, cfg, client=client)
+    assert "journal line 1" in caplog.text and "journal line 2" in caplog.text
+    assert client.call_count == 5  # both pairs are asked again
+    assert [c.score for c in out] == [1.0] * 5
