@@ -3,9 +3,15 @@
 This module holds only writers; ``parsing.parse_reference_alignment``
 reads both formats back.  Output is byte-deterministic: fixed element
 order, fixed namespace declarations, measures printed as plain decimals
-with at most six fractional digits (never scientific notation).  Files
-are written atomically (temp file in the target directory, then rename)
-so readers never observe a half-written alignment.
+with at most six fractional digits (never scientific notation).
+
+Each format has one renderer that yields the text in chunks of at most
+1024 cells.  :func:`write_alignment` streams those chunks to the file, so
+its memory does not grow with the alignment; :func:`export_xml` and
+:func:`export_json` join them into one str.  Files are written
+atomically (temp file in the target directory, then rename) so readers
+never observe a half-written alignment, and a cell rejected mid-stream
+leaves any existing file untouched.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ConfigError, InvalidScore
@@ -22,6 +29,8 @@ from .mapping import AlignmentDocument, Correspondence
 from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS
 
 _XSD_FLOAT_ATTR = quoteattr(XSD_NS + "float")
+# Cells rendered per chunk handed to the file; bounds the text in memory.
+_CHUNK_CELLS = 1024
 
 
 def format_measure(score: float) -> str:
@@ -39,9 +48,8 @@ def _check_cell(cell: Correspondence, index: int) -> None:
         raise InvalidScore(f"cell {index}: empty entity IRI")
 
 
-def export_xml(document: AlignmentDocument) -> str:
-    """Render an alignment in the OAEI cell XML vocabulary."""
-    lines = [
+def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
+    yield "\n".join([
         '<?xml version="1.0" encoding="utf-8"?>',
         f'<rdf:RDF xmlns={quoteattr(ALIGNMENT_NS)}',
         f'         xmlns:rdf={quoteattr(RDF_NS)}',
@@ -52,11 +60,13 @@ def export_xml(document: AlignmentDocument) -> str:
         f"    <type>{escape(document.type)}</type>",
         f"    <onto1>{escape(document.onto1)}</onto1>",
         f"    <onto2>{escape(document.onto2)}</onto2>",
-    ]
+        "",
+    ])
     quote = functools.cache(quoteattr)  # an IRI recurs in many cells
+    chunk = []
     for index, cell in enumerate(document.cells):
         _check_cell(cell, index)
-        lines.append(
+        chunk.append(
             "    <map>\n"
             "      <Cell>\n"
             f"        <entity1 rdf:resource={quote(cell.source)}/>\n"
@@ -64,34 +74,62 @@ def export_xml(document: AlignmentDocument) -> str:
             f"        <relation>{escape(cell.relation)}</relation>\n"
             f"        <measure rdf:datatype={_XSD_FLOAT_ATTR}>{format_measure(cell.score)}</measure>\n"
             "      </Cell>\n"
-            "    </map>"
+            "    </map>\n"
         )
-    lines.extend(["  </Alignment>", "</rdf:RDF>", ""])
-    return "\n".join(lines)
+        if len(chunk) == _CHUNK_CELLS:
+            yield "".join(chunk)
+            chunk = []
+    chunk.append("  </Alignment>\n</rdf:RDF>\n")
+    yield "".join(chunk)
+
+
+def _json_chunks(document: AlignmentDocument) -> Iterator[str]:
+    # The text of json.dumps(cells, indent=2) + "\n", one object at a time;
+    # json.dumps writes a finite float as its repr.
+    chunk = []
+    for index, cell in enumerate(document.cells):
+        _check_cell(cell, index)
+        separator = "[\n" if index == 0 else ",\n"
+        chunk.append(
+            f"{separator}  {{\n"
+            f'    "source": {json.dumps(cell.source)},\n'
+            f'    "target": {json.dumps(cell.target)},\n'
+            f'    "relation": {json.dumps(cell.relation)},\n'
+            f'    "score": {float(cell.score)!r},\n'
+            f'    "provenance": {json.dumps(cell.provenance)}\n'
+            "  }"
+        )
+        if len(chunk) == _CHUNK_CELLS:
+            yield "".join(chunk)
+            chunk = []
+    chunk.append("\n]\n" if document.cells else "[]\n")
+    yield "".join(chunk)
+
+
+def export_xml(document: AlignmentDocument) -> str:
+    """Render an alignment in the OAEI cell XML vocabulary."""
+    return "".join(_xml_chunks(document))
 
 
 def export_json(document: AlignmentDocument) -> str:
     """Render an alignment as a JSON array of cell objects."""
-    payload = []
-    for index, cell in enumerate(document.cells):
-        _check_cell(cell, index)
-        payload.append({
-            "source": cell.source,
-            "target": cell.target,
-            "relation": cell.relation,
-            "score": float(cell.score),
-            "provenance": cell.provenance,
-        })
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(_json_chunks(document))
 
 
-def atomic_write(path: str | Path, data: str) -> None:
-    """Write text through a same-directory temp file and an atomic rename."""
+def atomic_write(path: str | Path, data: str | Iterable[str]) -> None:
+    """Write text, one str or its chunks in order, through a same-directory
+    temp file and an atomic rename.
+
+    If writing fails, or the chunks raise, the temp file is removed and an
+    existing file at ``path`` is left as it was.
+    """
     path = Path(path)
+    if isinstance(data, str):
+        data = (data,)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -106,11 +144,11 @@ def write_alignment(
     path: str | Path,
     output_format: str = "xml",
 ) -> None:
-    """Serialize and atomically write an alignment file."""
+    """Serialize and atomically write an alignment file, chunk by chunk."""
     if output_format == "xml":
-        data = export_xml(document)
+        chunks = _xml_chunks(document)
     elif output_format == "json":
-        data = export_json(document)
+        chunks = _json_chunks(document)
     else:
         raise ConfigError(f"unknown output format: {output_format!r}")
-    atomic_write(path, data)
+    atomic_write(path, chunks)

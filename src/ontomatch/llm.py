@@ -4,7 +4,8 @@ The HTTP client speaks a plain completions protocol: a JSON POST with
 ``model``, ``prompt``, ``max_tokens``, ``temperature``, and ``logprobs``
 (sent on every request), answered with ``choices[0].text`` and, when the
 provider supports it, ``choices[0].logprobs.top_logprobs[0]`` as a
-token -> logprob map.
+token -> logprob map.  A ``text`` that is present but not a string (null,
+a number) is a :class:`~ontomatch.errors.ProviderError`.
 
 Binary decisions read the first generated position's top candidates, match
 them case-insensitively against "yes" and "no", and renormalize so the
@@ -83,7 +84,8 @@ class Decision:
     downstream stages threshold the confidence themselves.  ``fallback``
     marks decisions that came from the completion text because the
     provider sent no usable logprobs; their confidence is a flat 0.5 and
-    their label is :func:`read_answer` of the text.
+    their label is :func:`read_answer` of the text, so downstream stages
+    accept them by the label instead.
     """
 
     label: str
@@ -159,6 +161,8 @@ class HttpLLMClient:
             text = choice.get("text", "")
         except (KeyError, IndexError, TypeError, AttributeError):
             raise ProviderError(200, "completion response lacks choices[0]") from None
+        if not isinstance(text, str):
+            raise ProviderError(200, f"completion text is {type(text).__name__}, not a string")
         logprobs = choice.get("logprobs")
         positions = logprobs.get("top_logprobs") if isinstance(logprobs, dict) else None
         top = None

@@ -9,9 +9,12 @@ The RAG aligner first retrieves a shortlist of candidate targets per
 source over C-view texts (label and synonyms), then asks the model only
 about the shortlisted pairs, with prompts rendered at the requested view,
 using first-position token probabilities, keeping pairs whose
-yes-confidence reaches the threshold.  Few-shot prompting prepends
-worked examples.  Decided pairs are appended to a JSON-lines journal per
-completed batch, so an interrupted run resumes without re-asking.
+yes-confidence reaches the threshold.  A fallback decision, made from the
+completion text because the provider sent no usable logprobs, has no
+confidence to threshold: it is kept when its label is "yes".  Few-shot
+prompting prepends worked examples.  Decided pairs (confidence, label and
+fallback flag) are appended to a JSON-lines journal per completed batch,
+so an interrupted run resumes without re-asking.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from .encoding import EncodedCorpus, EncodingView, encode, render_concept
 from .errors import ConfigError, PairCapExceeded, TemplateError
-from .llm import LLMConfig, make_llm_client, read_answer
+from .llm import Decision, LLMConfig, make_llm_client, read_answer
 from .mapping import Correspondence
 from .parsing import Ontology
 from .retrieval import RetrievalConfig, align_retrieval
@@ -217,8 +220,8 @@ def align_llm_pairwise(
 # --------------------------------------------------------------------------
 
 
-def _load_journal(path: str) -> dict[tuple[str, str], float]:
-    decided: dict[tuple[str, str], float] = {}
+def _load_journal(path: str) -> dict[tuple[str, str], Decision]:
+    decided: dict[tuple[str, str], Decision] = {}
     journal = Path(path)
     if not journal.exists():
         return decided
@@ -227,11 +230,13 @@ def _load_journal(path: str) -> dict[tuple[str, str], float]:
             continue
         try:
             entry = json.loads(line)
-            confidence = entry["confidence"]
-            # A confidence that is not a number in [0, 1] (a bool, NaN, 1.5) is as
-            # unusable as a torn line.
-            if type(confidence) in (int, float) and 0.0 <= confidence <= 1.0:
-                decided[(entry["source"], entry["target"])] = float(confidence)
+            confidence, label, fallback = entry["confidence"], entry["label"], entry["fallback"]
+            # A confidence that is not a number in [0, 1] (a bool, NaN, 1.5), a
+            # label other than yes/no or a fallback flag that is not a bool is as
+            # unusable as a torn line, and so is a line that lacks label/fallback.
+            if (type(confidence) in (int, float) and 0.0 <= confidence <= 1.0
+                    and label in ("yes", "no") and type(fallback) is bool):
+                decided[(entry["source"], entry["target"])] = Decision(label, float(confidence), fallback)
                 continue
         except (json.JSONDecodeError, KeyError, TypeError):
             pass
@@ -295,9 +300,10 @@ def align_rag(
             lines = []
             for (i, j), decision in zip(batch, decisions):
                 key = (src_corpus.iris[i], tgt_corpus.iris[j])
-                decided[key] = decision.confidence
+                decided[key] = decision
                 lines.append(json.dumps(
-                    {"source": key[0], "target": key[1], "confidence": decision.confidence},
+                    {"source": key[0], "target": key[1], "confidence": decision.confidence,
+                     "label": decision.label, "fallback": decision.fallback},
                     sort_keys=True,
                 ))
             if journal is not None and lines:
@@ -308,10 +314,11 @@ def align_rag(
     provenance = "rag:fewshot" if cfg.shots else "rag"
     out = []
     for i, j in pairs:
-        confidence = decided[(src_corpus.iris[i], tgt_corpus.iris[j])]
-        if confidence >= cfg.llm_threshold:
+        decision = decided[(src_corpus.iris[i], tgt_corpus.iris[j])]
+        # A fallback's flat 0.5 is no confidence; its label decides.
+        if (decision.label == "yes") if decision.fallback else (decision.confidence >= cfg.llm_threshold):
             out.append(Correspondence(
-                src_corpus.iris[i], tgt_corpus.iris[j], "=", confidence, provenance,
+                src_corpus.iris[i], tgt_corpus.iris[j], "=", decision.confidence, provenance,
             ))
     out.sort(key=lambda c: (src_index[c.source], -c.score, c.target))
     return out

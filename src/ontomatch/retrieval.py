@@ -33,6 +33,13 @@ from .transport import connection_pool, post_json
 _BACKENDS = ("tfidf", "embedding")
 # Source rows whose similarity rows are in memory at once, across all workers.
 _BLOCK_ROWS = 512
+# Scratch bytes one sparse block may hold: its sparse product (8-byte value
+# plus 4-byte column index) and the dense copy of it, 20 bytes per target.
+# Each worker thread's allocator keeps about one block of freed scratch for
+# the next block, so the budget sets what stays resident.  Measured on
+# 10k x 10k TF-IDF rows with 2 threads: 2 MiB keeps the run's peak RSS
+# lowest without costing time; smaller blocks pay more per-block overhead.
+_SCRATCH_BYTES = 2 << 20
 _MAX_WORKERS = 8
 
 # Ranked candidates per source row: (target row index, cosine similarity).
@@ -283,23 +290,30 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     ranking for k+1.
 
     Sparse (TF-IDF) sources are scored in row blocks on up to
-    ``min(cores, 8)`` threads, with 512 source rows in flight in all.  A
-    sparse row's sums do not depend on the rows around it, so the output is
-    exact: the same at any core count and block size.  BLAS picks its
-    kernels by matrix shape and by a row's place in the matrix, so the last
-    bits of a dense row's sums depend on its block; dense (embedding)
-    sources keep 512-row blocks on one thread, whatever the core count, and
-    BLAS threads each product itself.
+    ``min(cores, 8)`` threads.  A block holds at most 512 / threads rows
+    and at most ``_SCRATCH_BYTES`` (2 MiB) of scratch, about 20 bytes per
+    (row, target) pair, so the memory in flight does not grow with the
+    number of targets.  A sparse row's sums do not depend on the rows
+    around it, so the output is exact: the same at any core count and
+    block size.  BLAS picks its kernels by matrix shape and by a row's
+    place in the matrix, so the last bits of a dense row's sums depend on
+    its block; dense (embedding) sources keep 512-row blocks on one
+    thread, whatever the core count, and BLAS threads each product itself.
     """
     if k < 1:
         raise ConfigError(f"top_k must be >= 1, got {k}")
     if source.dim != target.dim:
         raise DimensionMismatch(f"source dim {source.dim} != target dim {target.dim}")
     k_eff = min(k, target.rows)
-    target_t = target.values.T
-    # Dense blocks stay whole: their sums depend on the block (see above).
-    workers = _worker_count() if sparse.issparse(source.values) else 1
-    rows = _BLOCK_ROWS // workers
+    if sparse.issparse(source.values):
+        workers = _worker_count()
+        rows = max(1, min(_BLOCK_ROWS // workers, _SCRATCH_BYTES // (20 * max(1, target.rows))))
+        # One CSR transpose up front; a CSC one is converted on every product.
+        target_t = sparse.csr_matrix(target.values.T)
+    else:
+        # Dense blocks stay whole: their sums depend on the block (see above).
+        workers, rows = 1, _BLOCK_ROWS
+        target_t = target.values.T
 
     def score(start: int) -> CandidateList:
         block = source.values[start:start + rows]
@@ -336,14 +350,14 @@ def _select_topk(row: np.ndarray, k: int) -> list[tuple[int, float]]:
     if k >= n:
         candidates = np.arange(n)
     else:
-        part = np.argpartition(-row, k - 1)[:k]
-        floor = row[part].min()
-        # Re-gather everything at or above the cut so equal values are
-        # decided by index, not by argpartition's arbitrary split.
+        # The k-th largest value: partitioning values is cheaper than
+        # partitioning indices.  Re-gather everything at or above it so equal
+        # values are decided by index, not by the partition's arbitrary split.
+        floor = -np.partition(-row, k - 1)[k - 1]
         candidates = np.flatnonzero(row >= floor)
     order = np.lexsort((candidates, -row[candidates]))
     chosen = candidates[order[:k]]
-    return [(int(j), float(row[j])) for j in chosen]
+    return list(zip(chosen.tolist(), row[chosen].tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and shares no code with the package:
 textbook dynamic programming for subsequences, dict-based TF-IDF,
-pure-Python ranking, and line-by-line alignment XML.  Tests trust agreement between two implementations,
-not either one alone.
+pure-Python ranking, line-by-line alignment XML and one-shot alignment
+JSON.  Tests trust agreement between two implementations, not either one
+alone.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from xml.sax.saxutils import escape, quoteattr
 
@@ -132,3 +134,14 @@ def alignment_xml(
         ])
     lines.extend(["  </Alignment>", "</rdf:RDF>", ""])
     return "\n".join(lines)
+
+
+def alignment_json(cells: list[tuple[str, str, str, float, str]]) -> str:
+    """Alignment JSON for (source, target, relation, score, provenance)
+    cells, encoded in one ``json.dumps`` call."""
+    payload = [
+        {"source": source, "target": target, "relation": relation,
+         "score": float(score), "provenance": provenance}
+        for source, target, relation, score, provenance in cells
+    ]
+    return json.dumps(payload, indent=2) + "\n"

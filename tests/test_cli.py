@@ -112,6 +112,19 @@ def test_align_survives_a_provider_sending_malformed_logprobs(corpus, tmp_path, 
     assert len(http_server.requests) > 0
 
 
+def test_align_exits_2_on_a_null_completion_text(corpus, tmp_path, http_server, capsys):
+    http_server.app = lambda path, payload: (200, {"choices": [{"text": None}]})
+    source, target, _ = corpus
+    out = tmp_path / "rag.json"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--method", "rag",
+        "--endpoint", http_server.url, "--out", str(out), "--format", "json",
+    ])
+    assert code == 2
+    assert "not a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_method_exits_1_with_config_error(corpus, tmp_path, capsys):
     source, target, _ = corpus
     code = main([

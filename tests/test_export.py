@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import pytest
-from oracles import alignment_xml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import alignment_json, alignment_xml
 
+from ontomatch import export
 from ontomatch.errors import ConfigError, InvalidScore, MalformedDocument
 from ontomatch.export import (
     AlignmentDocument,
@@ -151,6 +155,20 @@ def test_json_output_shape():
     ]
 
 
+_cell_text = st.text(min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(_cell_text, _cell_text, st.text(max_size=3),
+              st.floats(min_value=0.0, max_value=1.0), st.text(max_size=8)),
+    max_size=4,
+))
+def test_json_matches_a_one_shot_json_dump(cells):
+    document = AlignmentDocument(cells=tuple(Correspondence(*cell) for cell in cells))
+    assert export_json(document) == alignment_json(cells)
+
+
 def test_json_loader_fills_optional_fields(tmp_path):
     path = tmp_path / "sparse.json"
     path.write_text('[{"source": "http://a#1", "target": "http://b#1"}]', encoding="utf-8")
@@ -199,6 +217,71 @@ def test_invalid_cells_are_rejected(exporter):
 
 
 # -- file writing -----------------------------------------------------------------
+
+
+def _cells(n: int, fan_out: int = 3, targets: int = 7) -> list[Correspondence]:
+    """``fan_out`` cells per source IRI, spread over ``targets`` target IRIs."""
+    return [
+        Correspondence(f"http://example.org/source#Concept{i // fan_out}",
+                       f"http://example.org/target#Concept{i * 7919 % targets}",
+                       "=", (i % 11) / 10, "retrieval:tfidf")
+        for i in range(n)
+    ]
+
+
+_DOCUMENTS = {
+    "empty": AlignmentDocument(cells=()),
+    "escaped and non-ASCII": AlignmentDocument.from_correspondences(
+        [
+            Correspondence('http://a#q="1"&r=<2>', "http://b#Müller–日本", "<", 0.5, 'p"\\\t'),
+            Correspondence("http://a#it's", "http://b#\u2028é", "&>", 1e-07, "ßς😀"),
+        ],
+        onto1="http://a&b", onto2="<b>",
+    ),
+    "several chunks": AlignmentDocument.from_correspondences(_cells(2 * export._CHUNK_CELLS + 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENTS))
+@pytest.mark.parametrize("output_format,exporter", [("xml", export_xml), ("json", export_json)])
+def test_written_bytes_equal_the_exported_text(tmp_path, name, output_format, exporter):
+    document = _DOCUMENTS[name]
+    path = tmp_path / f"out.{output_format}"
+    write_alignment(document, path, output_format)
+    assert path.read_bytes() == exporter(document).encode("utf-8")
+    cells = [(c.source, c.target, c.relation, c.score, c.provenance) for c in document.cells]
+    if output_format == "xml":
+        oracle = alignment_xml([cell[:4] for cell in cells], document.onto1, document.onto2)
+    else:
+        oracle = alignment_json(cells)
+    assert exporter(document) == oracle
+
+
+@pytest.mark.parametrize("output_format", ["xml", "json"])
+def test_invalid_cell_past_the_first_chunk_leaves_the_target_untouched(tmp_path, output_format):
+    path = tmp_path / f"out.{output_format}"
+    path.write_text("previous run", encoding="utf-8")
+    bad = Correspondence("http://a#x", "http://b#y", "=", 1.5, "x")
+    document = AlignmentDocument(cells=(*_cells(export._CHUNK_CELLS + 10), bad))
+    with pytest.raises(InvalidScore, match=f"cell {export._CHUNK_CELLS + 10}:"):
+        write_alignment(document, path, output_format)
+    assert os.listdir(tmp_path) == [path.name]
+    assert path.read_text(encoding="utf-8") == "previous run"
+
+
+@pytest.mark.parametrize("output_format", ["xml", "json"])
+def test_write_alignment_memory_does_not_grow_with_the_file(tmp_path, output_format):
+    # 20k cells over 2000 source and 2000 target IRIs, as a top-10 retrieval
+    # run writes them; rendering the whole text at once peaks at 2-7x the file.
+    document = AlignmentDocument.from_correspondences(_cells(20_000, fan_out=10, targets=2000))
+    path = tmp_path / f"out.{output_format}"
+    tracemalloc.start()
+    try:
+        write_alignment(document, path, output_format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 3
 
 
 def test_atomic_write_leaves_only_the_target(tmp_path):

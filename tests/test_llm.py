@@ -171,6 +171,18 @@ def test_non_object_choice_is_a_provider_error(http_server):
         client_for(http_server).binary_decision("prompt")
 
 
+@pytest.mark.parametrize("text", [None, 7, ["yes"]])
+@pytest.mark.parametrize("logprobs", [None, {"top_logprobs": [{" yes": -0.1}]}])
+def test_completion_text_that_is_not_a_string_is_a_provider_error(http_server, text, logprobs):
+    choice = {"text": text} if logprobs is None else {"text": text, "logprobs": logprobs}
+    http_server.app = lambda path, payload: (200, {"choices": [choice]})
+    client = client_for(http_server)
+    with pytest.raises(ProviderError, match="not a string"):
+        client.binary_decision("prompt")
+    with pytest.raises(ProviderError, match="not a string"):
+        client.complete("prompt")
+
+
 def test_malformed_logprobs_fall_back_to_text(http_server):
     http_server.app = lambda path, payload: (200, {"choices": [{"text": "yes", "logprobs": [0.5]}]})
     client = client_for(http_server)

@@ -381,7 +381,7 @@ def test_journal_entries_are_sorted_json_objects(tmp_path):
     align_rag(source, target, cfg)
     for line in journal.read_text(encoding="utf-8").strip().splitlines():
         entry = json.loads(line)
-        assert list(entry) == ["confidence", "source", "target"]
+        assert list(entry) == ["confidence", "fallback", "label", "source", "target"]
 
 
 def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
@@ -391,6 +391,8 @@ def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
         "source": source.concepts[0].iri,
         "target": target.concepts[0].iri,
         "confidence": 1.0,
+        "label": "yes",
+        "fallback": False,
     })
     journal.write_text(valid + "\nnot json at all\n", encoding="utf-8")
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
@@ -407,14 +409,61 @@ def test_journal_lines_with_unusable_confidences_are_asked_again(tmp_path, caplo
     source, target = rag_fixtures()
     lines = [
         json.dumps({"source": source.concepts[i].iri, "target": target.concepts[i].iri,
-                    "confidence": confidence})
+                    "confidence": confidence, "label": "yes", "fallback": False})
         for i, confidence in ((0, math.nan), (1, 1.5))
     ]
+    # a line written before decisions were journaled with their label
+    lines.append(json.dumps({"source": source.concepts[2].iri, "target": target.concepts[2].iri,
+                             "confidence": 1.0}))
     journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
     client = MockLLMClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
-    assert "journal line 1" in caplog.text and "journal line 2" in caplog.text
-    assert client.call_count == 5  # both pairs are asked again
+    for line_no in (1, 2, 3):
+        assert f"journal line {line_no}" in caplog.text
+    assert client.call_count == 5  # all three pairs are asked again
     assert [c.score for c in out] == [1.0] * 5
+
+
+def _text_only_server(server, answer):
+    """Serve C-view embeddings and completions that carry no logprobs."""
+
+    def app(path, payload):
+        if path == "/v1/embeddings":
+            vectors = [[1.0, float(len(text))] for text in payload["input"]]
+            return 200, {"data": [{"index": i, "embedding": v} for i, v in enumerate(vectors)]}
+        return 200, {"choices": [{"text": answer}]}
+
+    server.app = app
+    return RetrievalConfig(
+        backend="embedding", top_k=2, provider_endpoint=f"{server.url}/v1/embeddings",
+    ), LLMConfig(endpoint=f"{server.url}/v1/completions", batch_size=2)
+
+
+@pytest.mark.parametrize("llm_threshold", [0.5, 0.9])
+@pytest.mark.parametrize("answer,kept", [("No, they differ.", False), ("Yes.", True)])
+def test_fallback_decisions_are_kept_by_their_label(http_server, answer, kept, llm_threshold):
+    # Without logprobs every decision is a fallback at a flat 0.5: the
+    # answer's label decides, whatever the threshold.
+    retrieval_cfg, llm_cfg = _text_only_server(http_server, answer)
+    source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=retrieval_cfg, llm=llm_cfg, llm_threshold=llm_threshold)
+    out = align_rag(source, target, cfg)
+    assert len(out) == (2 * len(LABELS) if kept else 0)
+    assert all(c.score == 0.5 for c in out)
+
+
+def test_journaled_fallbacks_resume_by_their_label(tmp_path, http_server):
+    journal = tmp_path / "run.jsonl"
+    retrieval_cfg, llm_cfg = _text_only_server(http_server, "No, they differ.")
+    source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=retrieval_cfg, llm=llm_cfg, journal_path=str(journal))
+    assert align_rag(source, target, cfg) == []
+    entries = [json.loads(line) for line in journal.read_text(encoding="utf-8").splitlines()]
+    assert len(entries) == 2 * len(LABELS)
+    assert all(e["label"] == "no" and e["fallback"] is True and e["confidence"] == 0.5
+               for e in entries)
+    asked = len(http_server.requests)
+    assert align_rag(source, target, cfg) == []  # every pair comes from the journal
+    assert [r["path"] for r in http_server.requests[asked:]] == ["/v1/embeddings"] * 2

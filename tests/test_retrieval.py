@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ def test_sparse_topk_is_the_same_on_any_worker_count_and_block_size(monkeypatch,
         assert got == expected
         pooled = workers > 1 and rows_in_flight // workers < 513
         assert _RecordingPool.sizes == ([workers] if pooled else [])
+
+
+@pytest.mark.parametrize("n_target", [3000, 12000])
+def test_sparse_topk_scratch_does_not_grow_with_the_targets(monkeypatch, n_target):
+    # Every text holds "phase", so every pair has a nonzero sum: with 512
+    # source rows in flight, 3000 targets would take 512 x 3000 x 20 B = 30 MB.
+    rng = random.Random(31)
+    texts = [f"{text} phase" for text in random_texts(rng, 512 + n_target)]
+    model = TfidfModel().fit(texts)
+    src = VectorMatrix(values=model.transform(texts[:512]))
+    tgt = VectorMatrix(values=model.transform(texts[512:]))
+    monkeypatch.setattr(retrieval, "_worker_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        ranked = cosine_topk(src, tgt, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 512
+    assert peak < 2 * retrieval._SCRATCH_BYTES
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
