@@ -55,14 +55,9 @@ def evaluate(
     Empty-side conventions: precision is 0 with no predictions, recall is
     0 with an empty reference, and F1 is 0 whenever both are 0.
     """
-    pred_keys = set()
-    for corr in predicted:
-        pred_keys.add(corr.key())
+    pred_keys = {corr.key() for corr in predicted}
     ref_keys = {cell.key() for cell in reference}
-
-    pred_eq = {(s, t) for s, t, r in pred_keys if r == "="}
-    ref_eq = {(s, t) for s, t, r in ref_keys if r == "="}
-    inter = len(pred_eq & ref_eq)
+    inter = sum(1 for key in ref_keys if key[2] == "=" and key in pred_keys)
     pred = len(pred_keys)
     ref = len(ref_keys)
 

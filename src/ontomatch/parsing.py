@@ -139,13 +139,25 @@ def parse_ontology(path: str | Path, format_hint: str | None = None) -> Ontology
         MalformedDocument: the file cannot be parsed.
     """
     fmt = detect_format(path, format_hint)
-    text = Path(path).read_text(encoding="utf-8")
     if fmt == "rdf-xml":
-        triples = _triples_from_rdfxml(text)
+        triples = _triples_from_rdfxml(_xml_root(path, "RDF/XML"))
     else:
-        triples = _triples_from_turtle(text)
+        triples = _triples_from_turtle(_read_utf8(path, "Turtle document"))
     concepts = _build_concepts(triples)
     return Ontology(concepts=concepts, source_path=str(path), format=fmt)
+
+
+def _read_utf8(path: str | Path, what: str) -> str:
+    """The file as UTF-8 text with universal newlines.
+
+    Bytes that are not UTF-8 raise :class:`MalformedDocument` with their line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{what} is not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --------------------------------------------------------------------------
@@ -239,13 +251,16 @@ def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
 # --------------------------------------------------------------------------
 
 
-def _triples_from_rdfxml(text: str) -> list[Triple]:
+def _xml_root(path: str | Path, what: str) -> ET.Element:
+    """Parse an XML file from its bytes, so that expat honours the declared encoding."""
     try:
-        root = ET.fromstring(text)
+        return ET.fromstring(Path(path).read_bytes())
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
-        raise MalformedDocument(f"invalid RDF/XML: {exc.msg.split(':')[0]}", line, column) from exc
+        raise MalformedDocument(f"invalid {what}: {exc.msg.split(':')[0]}", line, column) from exc
 
+
+def _triples_from_rdfxml(root: ET.Element) -> list[Triple]:
     base = root.get(XML_BASE, "")
     triples: list[Triple] = []
     if _tag_iri(root.tag) == RDF_NS + "RDF":
@@ -339,9 +354,15 @@ _TTL_ESCAPES = {
     "t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
+_TTL_UCHAR = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
 
 
 def _unescape_turtle(raw: str) -> str:
+    """Resolve the backslash escapes of a literal's body.
+
+    A ``\\u``/``\\U`` escape needs exactly 4/8 hex digits naming a Unicode
+    scalar value; otherwise ``ValueError(message, offset of the escape)``.
+    """
     out: list[str] = []
     i = 0
     while i < len(raw):
@@ -354,16 +375,28 @@ def _unescape_turtle(raw: str) -> str:
         if nxt in _TTL_ESCAPES:
             out.append(_TTL_ESCAPES[nxt])
             i += 2
-        elif nxt == "u":
-            out.append(chr(int(raw[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            out.append(chr(int(raw[i + 2:i + 10], 16)))
-            i += 10
+        elif nxt in _TTL_UCHAR:
+            digits = _TTL_UCHAR[nxt].match(raw, i + 2)
+            code = int(digits.group(), 16) if digits else -1
+            if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ValueError(f"invalid Turtle escape near {raw[i:i + 10]!r}", i)
+            out.append(chr(code))
+            i = digits.end()
         else:
             out.append(nxt)
             i += 2
     return "".join(out)
+
+
+def _literal_value(text: str, match: re.Match) -> str:
+    """The unescaped value of a literal token; bad escapes raise with their line."""
+    token = match.group()
+    quote = 3 if token.startswith(('"""', "'''")) else 1
+    try:
+        return _unescape_turtle(token[quote:-quote])
+    except ValueError as exc:
+        message, offset = exc.args
+        raise MalformedDocument(message, text.count("\n", 0, match.start() + quote + offset) + 1) from None
 
 
 class _TurtleReader:
@@ -394,7 +427,9 @@ class _TurtleReader:
                 raise MalformedDocument(f"invalid Turtle near {text[pos:pos + 20]!r}", line)
             pos = match.end()
             kind = match.lastgroup
-            if kind != "ws":
+            if kind == "literal":
+                tokens.append((kind, _literal_value(text, match)))
+            elif kind != "ws":
                 tokens.append((kind, match.group()))
         return tokens
 
@@ -522,7 +557,7 @@ class _TurtleReader:
         kind, tok = self._peek()
         if kind == "literal":
             self._next()
-            value = self._literal_value(tok)
+            value = tok
             if self._peek()[1] == "^^":
                 self._next()
                 self._term()
@@ -539,12 +574,6 @@ class _TurtleReader:
         obj = self._term()
         if subject is not None and obj is not None:
             self.triples.append((subject, predicate, obj, False))
-
-    @staticmethod
-    def _literal_value(token: str) -> str:
-        if token.startswith(('"""', "'''")):
-            return _unescape_turtle(token[3:-3])
-        return _unescape_turtle(token[1:-1])
 
 
 def _triples_from_turtle(text: str) -> list[Triple]:
@@ -578,7 +607,7 @@ def _cell_entity(cell: ET.Element, name: str, index: int) -> str:
 def load_json_alignment(path: str | Path) -> list[Correspondence]:
     """Read a JSON alignment back into correspondences."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(_read_utf8(path, "alignment JSON"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid alignment JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if not isinstance(raw, list):
@@ -620,13 +649,7 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
     """
     if Path(path).suffix.lower() == ".json":
         return AlignmentDocument.from_correspondences(load_json_alignment(path))
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise MalformedDocument(f"invalid alignment XML: {exc.msg.split(':')[0]}", line, column) from exc
-
+    root = _xml_root(path, "alignment XML")
     headers = {}
     for elem in root.iter():
         name = _local_name(elem.tag)

@@ -22,13 +22,10 @@ from .errors import ConfigError
 from .evaluation import Metrics, evaluate
 from .export import atomic_write, write_alignment
 from .fuzzy import FuzzyConfig, align_fuzzy
-from .llm import LLMConfig
 from .mapping import AlignmentDocument, Correspondence
 from .parsing import parse_ontology, parse_reference_alignment
 from .postprocess import PostprocessConfig, apply_postprocess
-from .rag import (
-    DEFAULT_PAIR_CAP, PromptTemplate, RAGConfig, align_llm_pairwise, align_rag, exemplars_from_json,
-)
+from .rag import DEFAULT_PAIR_CAP, RAGConfig, align_llm_pairwise, align_rag, exemplars_from_json
 from .retrieval import RetrievalConfig, align_retrieval
 
 _METHODS = ("fuzzy", "retrieval", "llm", "rag", "fewshot_rag")
@@ -79,19 +76,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
-        """Build a config from the JSON schema, rejecting unknown keys."""
-        data = dict(data)
-        sections = {
-            "fuzzy": _section(FuzzyConfig, data.pop("fuzzy", None), "fuzzy"),
-            "retrieval": _section(RetrievalConfig, data.pop("retrieval", None), "retrieval"),
-            "rag": _rag_section(data.pop("rag", None)),
-            "postprocess": _section(PostprocessConfig, data.pop("postprocess", None), "postprocess"),
-        }
-        known = {f.name for f in dataclasses.fields(cls)} - set(sections)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} at the top level")
-        return cls(**data, **sections)
+        """Build a config from the JSON schema, rejecting unknown keys.
+
+        Every section is its value in the default config plus the keys the
+        file sets: a key left out keeps its section's default.
+        """
+        return _read_section(cls(), data, "")
 
     def to_dict(self) -> dict[str, Any]:
         out = dataclasses.asdict(self)
@@ -99,35 +89,31 @@ class PipelineConfig:
         return out
 
 
-def _section(section_cls, data: dict | None, name: str):
-    if data is None:
-        return section_cls()
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    allowed = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in section {name!r}")
-    return section_cls(**data)
+def _read_section(default, data: Any, where: str):
+    """``default`` with the keys of the JSON object ``data`` applied.
 
-
-def _rag_section(data: dict | None) -> RAGConfig:
+    Fields whose default is a dataclass are read recursively; a null or
+    absent section keeps its default.  ``where`` is the dotted section
+    name ("" for the top level) used in error messages.
+    """
     if data is None:
-        return RAGConfig()
+        return default
     if not isinstance(data, dict):
-        raise ConfigError("config section 'rag' must be an object")
-    data = dict(data)
-    kwargs: dict[str, Any] = {}
-    kwargs["retrieval"] = _section(RetrievalConfig, data.pop("retrieval", None), "rag.retrieval")
-    kwargs["llm"] = _section(LLMConfig, data.pop("llm", None), "rag.llm")
-    kwargs["template"] = _section(PromptTemplate, data.pop("template", None), "rag.template")
-    if "exemplars" in data:
-        kwargs["exemplars"] = exemplars_from_json(data.pop("exemplars"), "rag.exemplars")
-    allowed = {f.name for f in dataclasses.fields(RAGConfig)} - set(kwargs)
-    unknown = set(data) - allowed
+        raise ConfigError(f"config section {where!r} must be an object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(default)}
     if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in section 'rag'")
-    return RAGConfig(**data, **kwargs)
+        place = f"in section {where!r}" if where else "at the top level"
+        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} {place}")
+    values = {}
+    for name, value in data.items():
+        path = f"{where}.{name}" if where else name
+        current = getattr(default, name)
+        if dataclasses.is_dataclass(current):
+            value = _read_section(current, value, path)
+        elif path == "rag.exemplars":
+            value = exemplars_from_json(value, path)
+        values[name] = value
+    return replace(default, **values)
 
 
 @dataclass(frozen=True)
@@ -143,16 +129,7 @@ class RunReport:
     config: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "method": self.method,
-            "view": self.view,
-            "correspondences": self.correspondences,
-            "seconds": self.seconds,
-            "output_path": self.output_path,
-            "metrics": self.metrics.to_dict() if self.metrics else None,
-            "config": self.config,
-        }
-        return out
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -144,6 +144,56 @@ def test_missing_ontology_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _to_latin1(path):
+    text = path.read_text(encoding="utf-8").replace('encoding="utf-8"', 'encoding="iso-8859-1"')
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+def test_align_reads_latin1_xml_ontology_and_reference(tmp_path, capsys):
+    source = _to_latin1(ontology_from_labels(tmp_path / "src.owl", ["café", "thé"], base=SRC_BASE))
+    target = ontology_from_labels(tmp_path / "tgt.owl", ["café", "thé"], base=TGT_BASE)
+    reference = _to_latin1(write_reference_xml(tmp_path / "reference.rdf", [
+        (f"{SRC_BASE}C000", f"{TGT_BASE}C000"),
+        (f"{SRC_BASE}C001", f"{TGT_BASE}C001"),
+        (f"{SRC_BASE}café", f"{TGT_BASE}café"),
+    ]))
+    code = main([
+        "align", "--source", str(source), "--target", str(target),
+        "--reference", str(reference), "--out", str(tmp_path / "a.xml"),
+    ])
+    assert code == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert (metrics["inter"], metrics["pred"], metrics["ref"]) == (2, 2, 3)
+
+
+def test_align_exits_2_on_turtle_that_is_not_utf8(corpus, tmp_path, capsys):
+    _, target, _ = corpus
+    source = tmp_path / "src.ttl"
+    source.write_bytes(b'@prefix ex: <http://x.org/> .\nex:A ex:label "caf\xe9" .\n')
+    code = main(["align", "--source", str(source), "--target", str(target), "--out", str(tmp_path / "a.xml")])
+    assert code == 2
+    assert "not valid UTF-8 (line 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"'])
+def test_align_exits_2_on_a_bad_turtle_escape(corpus, tmp_path, capsys, literal):
+    _, target, _ = corpus
+    source = tmp_path / "src.ttl"
+    source.write_text(f"@prefix ex: <http://x.org/> .\nex:A ex:label {literal} .\n", encoding="utf-8")
+    code = main(["align", "--source", str(source), "--target", str(target), "--out", str(tmp_path / "a.xml")])
+    assert code == 2
+    assert "invalid Turtle escape" in capsys.readouterr().err
+
+
+def test_eval_exits_2_on_json_that_is_not_utf8(corpus, tmp_path, capsys):
+    _, _, reference = corpus
+    predicted = tmp_path / "pred.json"
+    predicted.write_bytes(b'[{"source": "http://a#caf\xe9", "target": "http://b#x"}]')
+    assert main(["eval", "--pred", str(predicted), "--ref", str(reference)]) == 2
+    assert "alignment JSON is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_1(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text("{", encoding="utf-8")

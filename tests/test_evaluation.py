@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomatch.evaluation import ComparisonTable, Metrics, compare, evaluate
 from ontomatch.mapping import AlignmentDocument, Correspondence
@@ -79,6 +83,34 @@ def test_non_equivalence_relations_never_match():
     metrics = evaluate(predicted, reference)
     # the subsumption pairs count toward sizes but not the intersection
     assert (metrics.inter, metrics.pred, metrics.ref) == (1, 2, 3)
+
+
+_CELLS = st.lists(st.tuples(
+    st.sampled_from("abc"), st.sampled_from("xyz"), st.sampled_from(["=", "<", ">"]),
+    st.sampled_from([0.2, 0.9]),
+), max_size=14)
+
+
+def _floor_percent(numerator: int, denominator: int) -> float:
+    if denominator == 0:
+        return 0.0
+    return math.floor(Fraction(1000 * numerator, denominator)) / 10
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_CELLS, _CELLS)
+def test_evaluate_equals_set_arithmetic(pred_cells, ref_cells):
+    def cells(rows):
+        return [Correspondence(f"http://a#{s}", f"http://b#{t}", r, score) for s, t, r, score in rows]
+
+    pred = {(s, t, r) for s, t, r, _ in pred_cells}
+    ref = {(s, t, r) for s, t, r, _ in ref_cells}
+    inter = len({cell for cell in pred & ref if cell[2] == "="})
+    metrics = evaluate(cells(pred_cells), cells(ref_cells))
+    assert (metrics.inter, metrics.pred, metrics.ref) == (inter, len(pred), len(ref))
+    assert metrics.precision == _floor_percent(inter, len(pred))
+    assert metrics.recall == _floor_percent(inter, len(ref))
+    assert metrics.f1 == _floor_percent(2 * inter, len(pred) + len(ref))
 
 
 def test_empty_sides_score_zero_not_nan():

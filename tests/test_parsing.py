@@ -368,6 +368,58 @@ def test_turtle_truncated_statement_rejected(tmp_path):
         parse_ontology(path)
 
 
+def _to_latin1(path):
+    """Re-encode a UTF-8 XML file as ISO-8859-1, declaring the new encoding."""
+    text = path.read_text(encoding="utf-8").replace('encoding="utf-8"', 'encoding="iso-8859-1"')
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+def test_rdfxml_honours_a_declared_latin1_encoding(tmp_path):
+    path = _to_latin1(write_rdfxml(tmp_path / "onto.owl", [{"iri": BASE + "Cafe", "labels": ["café"]}]))
+    assert b"caf\xe9" in path.read_bytes()
+    assert parse_ontology(path).concepts[0].label == "café"
+
+
+def test_reference_xml_honours_a_declared_latin1_encoding(tmp_path):
+    path = _to_latin1(write_reference_xml(tmp_path / "ref.rdf", [(BASE + "café", BASE + "thé")]))
+    assert [(c.source, c.target) for c in parse_reference_alignment(path).cells] == [
+        (BASE + "café", BASE + "thé"),
+    ]
+
+
+def test_turtle_and_json_that_are_not_utf8_are_malformed(tmp_path):
+    ttl = tmp_path / "latin1.ttl"
+    ttl.write_bytes(b'@prefix ex: <http://x.org/> .\nex:A ex:label "caf\xe9" .\n')
+    with pytest.raises(MalformedDocument, match="not valid UTF-8") as excinfo:
+        parse_ontology(ttl)
+    assert excinfo.value.line == 2
+    alignment = tmp_path / "latin1.json"
+    alignment.write_bytes(b'[{"source": "http://a#caf\xe9", "target": "http://b#x"}]')
+    with pytest.raises(MalformedDocument, match="not valid UTF-8"):
+        parse_reference_alignment(alignment)
+
+
+@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"', r'"x\u12"', r'"\uD800"'])
+def test_turtle_bad_unicode_escape_is_malformed_with_its_line(tmp_path, literal):
+    path = tmp_path / "escape.ttl"
+    path.write_text(f"@prefix ex: <http://x.org/> .\n\nex:A ex:label {literal} .\n", encoding="utf-8")
+    with pytest.raises(MalformedDocument, match="invalid Turtle escape") as excinfo:
+        parse_ontology(path)
+    assert excinfo.value.line == 3
+
+
+def test_turtle_unicode_escapes_decode(tmp_path):
+    path = tmp_path / "escape.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        '<http://x.org/A> a owl:Class ; rdfs:label "caf\\u00E9 \\U0001F600" .\n',
+        encoding="utf-8",
+    )
+    assert parse_ontology(path).concepts[0].label == "café \U0001F600"
+
+
 # -- reference alignments ----------------------------------------------------
 
 

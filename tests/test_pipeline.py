@@ -18,6 +18,7 @@ from ontomatch.pipeline import (
     report_path_for,
     run_pipeline,
 )
+from ontomatch.postprocess import PostprocessConfig
 from ontomatch.rag import Exemplar, PromptTemplate, RAGConfig, build_prompt
 from ontomatch.retrieval import RetrievalConfig
 
@@ -81,12 +82,36 @@ def test_config_dict_roundtrip_preserves_everything():
             template=PromptTemplate(preamble="Same?"),
             journal_path="run.jsonl",
         ),
+        postprocess=PostprocessConfig(threshold=0.5, cardinality="one_to_one_greedy"),
         output_path="out.json",
         output_format="json",
         pair_cap=5000,
         seed=3,
     )
+    default = PipelineConfig()
+    for name in ("fuzzy", "retrieval", "rag", "postprocess"):
+        assert getattr(cfg, name) != getattr(default, name)
+    for name in ("retrieval", "llm", "template", "exemplars"):
+        assert getattr(cfg.rag, name) != getattr(default.rag, name)
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("section", [
+    "fuzzy", "retrieval", "rag", "rag.retrieval", "rag.llm", "rag.template", "postprocess",
+])
+def test_an_empty_section_is_the_default_section(section):
+    data: dict = {}
+    node = data
+    for key in section.split("."):
+        node = node.setdefault(key, {})
+    assert PipelineConfig.from_dict(data) == PipelineConfig()
+
+
+def test_keys_left_out_keep_their_section_default():
+    assert PipelineConfig.from_dict({"rag": {}}).rag.retrieval.top_k == 5
+    rag = PipelineConfig.from_dict({"rag": {"retrieval": {"threshold": 0.4}}}).rag
+    assert rag.retrieval == RetrievalConfig(top_k=5, threshold=0.4)
+    assert PipelineConfig.from_dict({"rag": None, "fuzzy": None}) == PipelineConfig()
 
 
 def test_config_rejects_unknown_keys_everywhere():
