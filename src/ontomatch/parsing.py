@@ -148,16 +148,11 @@ def parse_ontology(path: str | Path, format_hint: str | None = None) -> Ontology
 
 
 def _read_utf8(path: str | Path, what: str) -> str:
-    """The file as UTF-8 text with universal newlines.
-
-    Bytes that are not UTF-8 raise :class:`MalformedDocument` with their line.
-    """
-    data = Path(path).read_bytes()
+    """The file as UTF-8 text; bytes that are not UTF-8 raise with their line."""
     try:
-        text = data.decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"{what} is not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        raise MalformedDocument(f"{what} is not valid UTF-8", exc.object.count(b"\n", 0, exc.start) + 1) from None
 
 
 # --------------------------------------------------------------------------
@@ -443,9 +438,14 @@ class _TurtleReader:
         self.pos += 1
         return token
 
+    def _at(self, *punct: str) -> bool:
+        """Whether the next token is one of these punctuation marks (never a literal)."""
+        kind, tok = self._peek()
+        return kind == "punct" and tok in punct
+
     def _expect(self, value: str) -> None:
         kind, tok = self._next()
-        if tok != value:
+        if kind != "punct" or tok != value:
             raise MalformedDocument(f"expected {value!r} in Turtle document, found {tok!r}")
 
     def read(self) -> list[Triple]:
@@ -455,12 +455,15 @@ class _TurtleReader:
 
     def _statement(self) -> None:
         kind, tok = self._peek()
-        if tok in ("@prefix", "@base") or (kind == "pname" and tok.upper() in ("PREFIX", "BASE")):
+        directive = (kind == "langtag" and tok in ("@prefix", "@base")) or (
+            kind == "pname" and tok.upper() in ("PREFIX", "BASE")
+        )
+        if directive:
             self._directive()
             return
         subject = self._term()
         # A blank-node property list may stand alone as a whole statement.
-        if not (subject is None and self._peek()[1] == "."):
+        if not (subject is None and self._at(".")):
             self._predicate_object_list(subject)
         self._expect(".")
 
@@ -468,8 +471,8 @@ class _TurtleReader:
         _, keyword = self._next()
         upper = keyword.lstrip("@").upper()
         if upper == "PREFIX":
-            _, name = self._next()
-            if not name.endswith(":"):
+            kind, name = self._next()
+            if kind != "pname" or not name.endswith(":"):
                 raise MalformedDocument(f"bad prefix name {name!r} in Turtle document")
             kind, iri = self._next()
             if kind != "iri":
@@ -504,23 +507,23 @@ class _TurtleReader:
             return None
         if kind == "pname" and ":" in tok:
             return self._expand_pname(tok)
-        if tok == "[":
+        if kind == "punct" and tok == "[":
             self._skip_blank()
             return None
-        if tok == "(":
+        if kind == "punct" and tok == "(":
             self._skip_collection()
             return None
         raise MalformedDocument(f"unexpected Turtle token {tok!r}")
 
     def _skip_blank(self) -> None:
-        if self._peek()[1] == "]":
+        if self._at("]"):
             self._next()
             return
         self._predicate_object_list(None)
         self._expect("]")
 
     def _skip_collection(self) -> None:
-        while self._peek()[1] != ")":
+        while not self._at(")"):
             if self._peek()[0] == "eof":
                 raise MalformedDocument("unterminated Turtle collection")
             self._object(None, "")
@@ -529,7 +532,7 @@ class _TurtleReader:
     def _predicate_object_list(self, subject: str | None) -> None:
         while True:
             kind, tok = self._peek()
-            if tok == "a":
+            if kind == "pname" and tok == "a":
                 self._next()
                 predicate = _RDF_TYPE
             else:
@@ -537,10 +540,10 @@ class _TurtleReader:
                 if predicate is None:
                     raise MalformedDocument("blank node used as a predicate")
             self._object_list(subject, predicate)
-            if self._peek()[1] == ";":
+            if self._at(";"):
                 self._next()
                 # A trailing ';' may be followed directly by '.' or ']'.
-                if self._peek()[1] in (".", "]"):
+                if self._at(".", "]"):
                     return
                 continue
             return
@@ -548,7 +551,7 @@ class _TurtleReader:
     def _object_list(self, subject: str | None, predicate: str) -> None:
         while True:
             self._object(subject, predicate)
-            if self._peek()[1] == ",":
+            if self._at(","):
                 self._next()
                 continue
             return
@@ -558,7 +561,7 @@ class _TurtleReader:
         if kind == "literal":
             self._next()
             value = tok
-            if self._peek()[1] == "^^":
+            if self._peek()[0] == "dtype":
                 self._next()
                 self._term()
             elif self._peek()[0] == "langtag":

@@ -91,6 +91,13 @@ def write_reference_xml(path: Path, pairs: list[tuple[str, str]]) -> Path:
     return path
 
 
+def to_latin1(path: Path) -> Path:
+    """Re-encode a UTF-8 XML file as ISO-8859-1, declaring the new encoding."""
+    text = path.read_text(encoding="utf-8").replace('encoding="utf-8"', 'encoding="iso-8859-1"')
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
 def make_corpus(
     texts: list[str],
     view: EncodingView = EncodingView.C,

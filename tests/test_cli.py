@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import ontology_from_labels, write_reference_xml
+from conftest import ontology_from_labels, to_latin1, write_reference_xml
 
 from ontomatch.cli import main
 from ontomatch.parsing import load_json_alignment
@@ -144,16 +144,10 @@ def test_missing_ontology_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _to_latin1(path):
-    text = path.read_text(encoding="utf-8").replace('encoding="utf-8"', 'encoding="iso-8859-1"')
-    path.write_bytes(text.encode("latin-1"))
-    return path
-
-
 def test_align_reads_latin1_xml_ontology_and_reference(tmp_path, capsys):
-    source = _to_latin1(ontology_from_labels(tmp_path / "src.owl", ["café", "thé"], base=SRC_BASE))
+    source = to_latin1(ontology_from_labels(tmp_path / "src.owl", ["café", "thé"], base=SRC_BASE))
     target = ontology_from_labels(tmp_path / "tgt.owl", ["café", "thé"], base=TGT_BASE)
-    reference = _to_latin1(write_reference_xml(tmp_path / "reference.rdf", [
+    reference = to_latin1(write_reference_xml(tmp_path / "reference.rdf", [
         (f"{SRC_BASE}C000", f"{TGT_BASE}C000"),
         (f"{SRC_BASE}C001", f"{TGT_BASE}C001"),
         (f"{SRC_BASE}café", f"{TGT_BASE}café"),

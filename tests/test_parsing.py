@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import write_rdfxml, write_reference_xml
+from conftest import to_latin1, write_rdfxml, write_reference_xml
 
 from ontomatch.errors import MalformedDocument, MissingEntity, UnsupportedFormat
 from ontomatch.parsing import (
@@ -368,21 +368,48 @@ def test_turtle_truncated_statement_rejected(tmp_path):
         parse_ontology(path)
 
 
-def _to_latin1(path):
-    """Re-encode a UTF-8 XML file as ISO-8859-1, declaring the new encoding."""
-    text = path.read_text(encoding="utf-8").replace('encoding="utf-8"', 'encoding="iso-8859-1"')
-    path.write_bytes(text.encode("latin-1"))
-    return path
+def test_turtle_literals_that_spell_punctuation_are_values(tmp_path):
+    path = tmp_path / "punct.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix ex: <http://example.org/onto#> .\n"
+        'ex:A a owl:Class ; rdfs:label ")" ; ex:p ( ")" "a" "^^" "." ";" "," "]" ) .\n',
+        encoding="utf-8",
+    )
+    [concept] = parse_ontology(path).concepts
+    assert (concept.iri, concept.label) == ("http://example.org/onto#A", ")")
+
+
+@pytest.mark.parametrize("statement", [
+    'ex:A ex:label "x" "."',
+    'ex:A ex:p [ ex:q "x" "]" .',
+    '"(" ex:p ex:B ")" .',
+    'ex:A "a" ex:B .',
+])
+def test_turtle_literals_never_stand_for_punctuation(tmp_path, statement):
+    path = tmp_path / "bad.ttl"
+    path.write_text(f"@prefix ex: <http://x.org/> .\n{statement}\n", encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        parse_ontology(path)
+
+
+def test_turtle_non_utf8_line_is_counted_over_the_whole_file(tmp_path):
+    path = tmp_path / "latin1.ttl"
+    path.write_bytes(b'@prefix ex: <http://x.org/> .\r\n' + b"# filler\n" * 20000 + b'ex:A ex:label "caf\xe9" .\n')
+    with pytest.raises(MalformedDocument, match="not valid UTF-8") as excinfo:
+        parse_ontology(path)
+    assert excinfo.value.line == 20002
 
 
 def test_rdfxml_honours_a_declared_latin1_encoding(tmp_path):
-    path = _to_latin1(write_rdfxml(tmp_path / "onto.owl", [{"iri": BASE + "Cafe", "labels": ["café"]}]))
+    path = to_latin1(write_rdfxml(tmp_path / "onto.owl", [{"iri": BASE + "Cafe", "labels": ["café"]}]))
     assert b"caf\xe9" in path.read_bytes()
     assert parse_ontology(path).concepts[0].label == "café"
 
 
 def test_reference_xml_honours_a_declared_latin1_encoding(tmp_path):
-    path = _to_latin1(write_reference_xml(tmp_path / "ref.rdf", [(BASE + "café", BASE + "thé")]))
+    path = to_latin1(write_reference_xml(tmp_path / "ref.rdf", [(BASE + "café", BASE + "thé")]))
     assert [(c.source, c.target) for c in parse_reference_alignment(path).cells] == [
         (BASE + "café", BASE + "thé"),
     ]
