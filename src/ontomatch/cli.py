@@ -7,8 +7,14 @@ Subcommands:
 * ``convert``  translate alignment files between XML and JSON;
 * ``compare``  rank run reports side by side.
 
-Exit codes: 0 on success, 1 for configuration problems (including usage
-errors), 2 for runtime failures.  Diagnostics go to stderr as one line.
+``align`` reads the default config, then the ``--config`` file, then its
+flags as one more layer (``_ALIGN_FLAGS`` names each flag's config paths),
+so a flag lands on a null or absent section as on its default.
+
+Exit codes: 0 on success; 1 for configuration problems, including usage
+errors and a config or report file that cannot be read as a JSON object;
+2 for runtime failures, including an OS error on an input or output file.
+Diagnostics go to stderr as one line.
 """
 
 from __future__ import annotations
@@ -34,28 +40,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# One row per ``align`` flag: name, type, help, and the config paths (dotted
+# into nested sections) that receive its value.
+_ALIGN_FLAGS: tuple[tuple[str, type, str, tuple[str, ...]], ...] = (
+    ("source", str, "source ontology file", ("source_path",)),
+    ("target", str, "target ontology file", ("target_path",)),
+    ("reference", str, "reference alignment for evaluation", ("reference_path",)),
+    ("method", str, "fuzzy | retrieval | llm | rag | fewshot_rag", ("method",)),
+    ("view", str, "C | CC | CP", ("view",)),
+    ("threshold", float, "fuzzy/retrieval score threshold", ("fuzzy.threshold", "retrieval.threshold")),
+    ("tr", float, "RAG retriever similarity threshold", ("rag.retrieval.threshold",)),
+    ("tl", float, "RAG yes-confidence threshold", ("rag.llm_threshold",)),
+    ("topk", int, "retrieval candidates per concept", ("retrieval.top_k", "rag.retrieval.top_k")),
+    ("ns", int, "few-shot examples per prompt", ("rag.shots",)),
+    ("batch", int, "provider batch size", ("retrieval.batch_size", "rag.llm.batch_size")),
+    ("endpoint", str, "provider URL ('mock:' for offline mocks)",
+     ("retrieval.provider_endpoint", "rag.retrieval.provider_endpoint", "rag.llm.endpoint")),
+    ("model", str, "provider model identifier", ("retrieval.model", "rag.llm.model_id")),
+    ("out", str, "output alignment path", ("output_path",)),
+    ("format", str, "xml | json", ("output_format",)),
+    ("config", str, "JSON config file", ()),
+    ("seed", int, "seed for mock providers", ("seed",)),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ontomatch", description="Align OWL/RDF ontologies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     align = sub.add_parser("align", help="run an alignment pipeline")
-    align.add_argument("--source", help="source ontology file")
-    align.add_argument("--target", help="target ontology file")
-    align.add_argument("--reference", help="reference alignment for evaluation")
-    align.add_argument("--method", help="fuzzy | retrieval | llm | rag | fewshot_rag")
-    align.add_argument("--view", help="C | CC | CP")
-    align.add_argument("--threshold", type=float, help="fuzzy/retrieval score threshold")
-    align.add_argument("--tr", type=float, help="RAG retriever similarity threshold")
-    align.add_argument("--tl", type=float, help="RAG yes-confidence threshold")
-    align.add_argument("--topk", type=int, help="retrieval candidates per concept")
-    align.add_argument("--ns", type=int, help="few-shot examples per prompt")
-    align.add_argument("--batch", type=int, help="provider batch size")
-    align.add_argument("--endpoint", help="provider URL ('mock:' for offline mocks)")
-    align.add_argument("--model", help="provider model identifier")
-    align.add_argument("--out", help="output alignment path")
-    align.add_argument("--format", help="xml | json")
-    align.add_argument("--config", help="JSON config file")
-    align.add_argument("--seed", type=int, help="seed for mock providers")
+    for name, kind, text, _ in _ALIGN_FLAGS:
+        align.add_argument(f"--{name}", type=kind, help=text)
 
     evl = sub.add_parser("eval", help="score predictions against a reference")
     evl.add_argument("--pred", required=True, help="predicted alignment (XML or JSON)")
@@ -64,67 +79,48 @@ def _build_parser() -> _Parser:
     conv = sub.add_parser("convert", help="translate between XML and JSON alignments")
     conv.add_argument("--in", dest="input", required=True, help="input alignment file")
     conv.add_argument("--out", required=True, help="output alignment file")
-    conv.add_argument("--format", required=True, help="xml | json (output format)")
+    conv.add_argument("--format", required=True, choices=("xml", "json"), help="output format")
 
     comp = sub.add_parser("compare", help="rank run reports")
     comp.add_argument("reports", nargs="+", help="run report JSON files")
     return parser
 
 
+def _read_json_object(path: str | Path, what: str) -> dict[str, Any]:
+    """The JSON object in ``path``; a file that cannot be read as one is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 # --------------------------------------------------------------------------
 # align
 # --------------------------------------------------------------------------
 
-# flag -> config paths receiving its value (dotted into nested sections)
-_FLAG_PATHS = {
-    "source": ("source_path",),
-    "target": ("target_path",),
-    "reference": ("reference_path",),
-    "method": ("method",),
-    "view": ("view",),
-    "threshold": ("fuzzy.threshold", "retrieval.threshold"),
-    "tr": ("rag.retrieval.threshold",),
-    "tl": ("rag.llm_threshold",),
-    "topk": ("retrieval.top_k", "rag.retrieval.top_k"),
-    "ns": ("rag.shots",),
-    "batch": ("retrieval.batch_size", "rag.llm.batch_size"),
-    "endpoint": ("retrieval.provider_endpoint", "rag.retrieval.provider_endpoint", "rag.llm.endpoint"),
-    "model": ("retrieval.model", "rag.llm.model_id"),
-    "out": ("output_path",),
-    "format": ("output_format",),
-    "seed": ("seed",),
-}
-
-
-def _set_path(data: dict[str, Any], dotted: str, value: Any) -> None:
-    keys = dotted.split(".")
-    node = data
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-    node[keys[-1]] = value
-
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    data: dict[str, Any] = {}
-    if args.config:
-        path = Path(args.config)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-    for flag, paths in _FLAG_PATHS.items():
-        value = getattr(args, flag)
+    """The config file's settings with the flags read over them as one more layer."""
+    flags: dict[str, Any] = {}
+    for name, _, _, paths in _ALIGN_FLAGS:
+        value = getattr(args, name)
         if value is None:
             continue
         for dotted in paths:
-            _set_path(data, dotted, value)
-    return PipelineConfig.from_dict(data)
+            *sections, key = dotted.split(".")
+            node = flags
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+    data = _read_json_object(args.config, "config file") if args.config else {}
+    return PipelineConfig.from_dict(data, flags)
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
@@ -155,8 +151,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    if args.format not in ("xml", "json"):
-        raise ConfigError(f"unknown output format: {args.format!r}")
     write_alignment(parse_reference_alignment(args.input), args.out, args.format)
     print(f"wrote {args.out}")
     return 0
@@ -166,14 +160,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     runs = []
     for report_file in args.reports:
         path = Path(report_file)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"report file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"report file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"report file {path} must hold a JSON object")
+        data = _read_json_object(path, "report file")
         metrics_data = data.get("metrics") or {}
         seconds_data = data.get("seconds") or {}
         if not isinstance(metrics_data, dict) or not isinstance(seconds_data, dict):
@@ -200,20 +187,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "align":
-            return _cmd_align(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        return _cmd_compare(args)
+        commands = {"align": _cmd_align, "eval": _cmd_eval, "convert": _cmd_convert, "compare": _cmd_compare}
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"ontomatch: config error: {exc}", file=sys.stderr)
         return 1
-    except OntomatchError as exc:
-        print(f"ontomatch: error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (OntomatchError, OSError) as exc:
         print(f"ontomatch: error: {exc}", file=sys.stderr)
         return 2
 

@@ -170,7 +170,7 @@ def _is_builtin(iri: str) -> bool:
 
 def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
     typed: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    edges: set[tuple[str, str]] = set()
     labels: dict[str, list[str]] = {}
     pref_labels: dict[str, list[str]] = {}
     synonyms: dict[str, list[str]] = {}
@@ -185,7 +185,7 @@ def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
         if predicate == _RDF_TYPE and not is_literal and obj in _CLASS_TYPES:
             typed.add(subject)
         elif predicate == _SUBCLASS and not is_literal:
-            edges.append((subject, obj))
+            edges.add((subject, obj))
         elif predicate == _LABEL and is_literal:
             push(labels, subject, obj)
         elif predicate == _PREF_LABEL and is_literal:
@@ -203,10 +203,8 @@ def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
     for child, parent in edges:
         if child == parent or child not in iris or parent not in iris:
             continue
-        if parent not in parents[child]:
-            parents[child].append(parent)
-        if child not in children[parent]:
-            children[parent].append(child)
+        parents[child].append(parent)
+        children[parent].append(child)
 
     records = []
     for iri in sorted(iris):
@@ -345,42 +343,31 @@ _TTL_TOKEN = re.compile(
     re.VERBOSE,
 )
 
-_TTL_ESCAPES = {
-    "t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f",
-    '"': '"', "'": "'", "\\": "\\",
-}
-_TTL_UCHAR = {"u": re.compile(r"[0-9A-Fa-f]{4}"), "U": re.compile(r"[0-9A-Fa-f]{8}")}
+_TTL_ESCAPE = re.compile(r"""\\(?:([tnrbf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|.)""")
+_TTL_ECHAR = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
 def _unescape_turtle(raw: str) -> str:
     """Resolve the backslash escapes of a literal's body.
 
-    A ``\\u``/``\\U`` escape needs exactly 4/8 hex digits naming a Unicode
-    scalar value; otherwise ``ValueError(message, offset of the escape)``.
+    Only ECHAR (``\\t \\n \\r \\b \\f \\" \\' \\\\``) and ``\\u``/``\\U`` with exactly
+    4/8 hex digits naming a Unicode scalar value are escapes; anything else
+    raises ``ValueError(message, offset of the escape)``.
     """
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        nxt = raw[i + 1]
-        if nxt in _TTL_ESCAPES:
-            out.append(_TTL_ESCAPES[nxt])
-            i += 2
-        elif nxt in _TTL_UCHAR:
-            digits = _TTL_UCHAR[nxt].match(raw, i + 2)
-            code = int(digits.group(), 16) if digits else -1
-            if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise ValueError(f"invalid Turtle escape near {raw[i:i + 10]!r}", i)
-            out.append(chr(code))
-            i = digits.end()
-        else:
-            out.append(nxt)
-            i += 2
-    return "".join(out)
+    if "\\" not in raw:
+        return raw
+
+    def resolve(match: re.Match) -> str:
+        echar, short, long = match.group(1, 2, 3)
+        if echar:
+            return _TTL_ECHAR[echar]
+        if short or long:
+            code = int(short or long, 16)
+            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                return chr(code)
+        raise ValueError(f"invalid Turtle escape near {raw[match.start():match.start() + 10]!r}", match.start())
+
+    return _TTL_ESCAPE.sub(resolve, raw)
 
 
 def _literal_value(text: str, match: re.Match) -> str:

@@ -75,13 +75,17 @@ class PipelineConfig:
     # -- config file plumbing -------------------------------------------
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
-        """Build a config from the JSON schema, rejecting unknown keys.
+    def from_dict(cls, *layers: dict[str, Any]) -> "PipelineConfig":
+        """Build a config from JSON-schema layers, rejecting unknown keys.
 
-        Every section is its value in the default config plus the keys the
-        file sets: a key left out keeps its section's default.
+        Each layer is read over the config built so far, starting from the
+        default: every section is its current value plus the keys the layer
+        sets, so a key left out (or a null section) keeps that value.
         """
-        return _read_section(cls(), data, "")
+        cfg = cls()
+        for data in layers:
+            cfg = _read_section(cfg, data, "")
+        return cfg
 
     def to_dict(self) -> dict[str, Any]:
         out = dataclasses.asdict(self)

@@ -138,7 +138,7 @@ def load_exemplars(path: str | Path) -> tuple[Exemplar, ...]:
     """Load few-shot exemplars from a JSON array of source/target/answer."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"exemplar file {path} is not valid JSON: {exc}") from exc
     exemplars = exemplars_from_json(raw, f"exemplar file {path}")
     if not exemplars:

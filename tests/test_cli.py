@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 from conftest import ontology_from_labels, to_latin1, write_reference_xml
 
-from ontomatch.cli import main
+from ontomatch.cli import _ALIGN_FLAGS, _build_parser, _config_from_args, main
 from ontomatch.parsing import load_json_alignment
 
 SRC_BASE = "http://example.org/a#"
@@ -170,7 +171,7 @@ def test_align_exits_2_on_turtle_that_is_not_utf8(corpus, tmp_path, capsys):
     assert "not valid UTF-8 (line 2)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"'])
+@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"', r'"a\qb"'])
 def test_align_exits_2_on_a_bad_turtle_escape(corpus, tmp_path, capsys, literal):
     _, target, _ = corpus
     source = tmp_path / "src.ttl"
@@ -195,6 +196,95 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["align", "--config", str(tmp_path / "missing.json")]) == 1
 
+
+@pytest.mark.parametrize("config", [{"rag": None}, {"rag": {"retrieval": None}}])
+def test_flags_land_on_a_null_config_section(corpus, tmp_path, capsys, config):
+    source, target, _ = corpus
+    config_file = tmp_path / "null-section.json"
+    config_file.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "a.xml"
+    code = main([
+        "align", "--config", str(config_file), "--source", str(source), "--target", str(target),
+        "--topk", "3", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "a.xml.report.json").read_text(encoding="utf-8"))
+    assert report["config"]["rag"]["retrieval"]["top_k"] == 3
+    assert report["config"]["retrieval"]["top_k"] == 3
+
+
+def test_every_flag_reaches_each_of_its_config_paths():
+    argv, expected = ["align"], {}
+    for index, (name, kind, _, paths) in enumerate(_ALIGN_FLAGS):
+        if not paths:
+            continue
+        value = {int: index + 1, float: index + 0.5, str: f"value-{name}"}[kind]
+        argv += [f"--{name}", str(value)]
+        expected.update(dict.fromkeys(paths, value))
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    assert {path: functools.reduce(getattr, path.split("."), cfg) for path in expected} == expected
+
+
+def _one_error_line(capsys, *needles) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+    return err
+
+
+def test_unreadable_config_file_exits_1_naming_it(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"method": "fuzzy", "view": "caf\xe9"}')
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    for config in (latin1, folder):
+        assert main(["align", "--config", str(config), "--source", str(source), "--target", str(target)]) == 1
+        _one_error_line(capsys, "config error", str(config))
+
+
+@pytest.mark.parametrize("unreadable", ["latin1", "folder"])
+def test_compare_unreadable_report_exits_1_naming_it(tmp_path, capsys, unreadable):
+    report = tmp_path / "bad-run.json"
+    if unreadable == "folder":
+        report.mkdir()
+    else:
+        report.write_bytes(b'{"metrics": {"f1": 90.0}, "seconds": {"total": 1.0}, "note": "caf\xe9"}')
+    assert main(["compare", str(report)]) == 1
+    _one_error_line(capsys, "config error", str(report))
+
+
+def test_align_out_that_is_a_directory_exits_2(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["align", "--source", str(source), "--target", str(target), "--out", str(out)]) == 2
+    _one_error_line(capsys, "ontomatch: error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "reference.rdf", "src.owl", "tgt.owl"]
+
+
+def test_eval_pred_that_is_a_directory_exits_2(corpus, tmp_path, capsys):
+    _, _, reference = corpus
+    predicted = tmp_path / "pred.xml"
+    predicted.mkdir()
+    assert main(["eval", "--pred", str(predicted), "--ref", str(reference)]) == 2
+    _one_error_line(capsys, "ontomatch: error:")
+
+
+def test_exemplar_file_that_is_not_utf8_exits_1(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    shots = tmp_path / "shots.json"
+    shots.write_bytes(b'[{"source": "caf\xe9", "target": "coffee", "answer": "yes"}]')
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rag": {"exemplars_path": str(shots)}}), encoding="utf-8")
+    code = main([
+        "align", "--config", str(config), "--source", str(source), "--target", str(target),
+        "--method", "fewshot_rag", "--endpoint", "mock:", "--out", str(tmp_path / "a.xml"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", str(shots))
 
 def test_rag_view_key_is_rejected(corpus, tmp_path, capsys):
     source, target, _ = corpus

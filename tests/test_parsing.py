@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import to_latin1, write_rdfxml, write_reference_xml
 
 from ontomatch.errors import MalformedDocument, MissingEntity, UnsupportedFormat
@@ -427,7 +429,7 @@ def test_turtle_and_json_that_are_not_utf8_are_malformed(tmp_path):
         parse_reference_alignment(alignment)
 
 
-@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"', r'"x\u12"', r'"\uD800"'])
+@pytest.mark.parametrize("literal", [r'"x\uZZZZy"', r'"x\U00110000y"', r'"x\u12"', r'"\uD800"', r'"a\qb"'])
 def test_turtle_bad_unicode_escape_is_malformed_with_its_line(tmp_path, literal):
     path = tmp_path / "escape.ttl"
     path.write_text(f"@prefix ex: <http://x.org/> .\n\nex:A ex:label {literal} .\n", encoding="utf-8")
@@ -445,6 +447,55 @@ def test_turtle_unicode_escapes_decode(tmp_path):
         encoding="utf-8",
     )
     assert parse_ontology(path).concepts[0].label == "café \U0001F600"
+
+
+_ECHAR = {"\t": r"\t", "\n": r"\n", "\r": r"\r", "\b": r"\b", "\f": r"\f", '"': r'\"', "'": r"\'", "\\": r"\\"}
+
+
+@st.composite
+def _escaped_text(draw):
+    """A text and one way of writing it inside a ``"..."`` Turtle literal."""
+    text = draw(st.text(min_size=1, max_size=20).filter(str.strip))
+    written = []
+    for ch in text:
+        ways = [f"\\U{ord(ch):08X}"]
+        if ord(ch) <= 0xFFFF:
+            ways.append(f"\\u{ord(ch):04x}")
+        if ch in _ECHAR:
+            ways.append(_ECHAR[ch])
+        if ch not in '"\\\n\r':
+            ways.append(ch)
+        written.append(draw(st.sampled_from(ways)))
+    return text, "".join(written)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_escaped_text())
+def test_turtle_escaped_literals_read_back_as_written(tmp_path, case):
+    text, written = case
+    path = tmp_path / "escaped.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        f'<http://x.org/A> a owl:Class ; rdfs:label "{written}" .\n',
+        encoding="utf-8",
+    )
+    assert parse_ontology(path).concepts[0].label == text.strip()
+
+
+def test_repeated_subclass_statement_lists_parent_and_child_once(tmp_path):
+    path = tmp_path / "repeated.ttl"
+    path.write_text(
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix ex: <http://x.org/> .\n"
+        "ex:B rdfs:subClassOf ex:A .\n"
+        "ex:B rdfs:subClassOf ex:A , ex:A .\n",
+        encoding="utf-8",
+    )
+    a, b = parse_ontology(path).concepts
+    assert a.children == ("http://x.org/B",)
+    assert b.parents == ("http://x.org/A",)
 
 
 # -- reference alignments ----------------------------------------------------

@@ -130,9 +130,10 @@ def test_load_exemplars_roundtrip_and_errors(tmp_path):
         ("missing.json", '[{"source": "a"}]'),
         ("empty.json", "[]"),
         ("badanswer.json", '[{"source": "a", "target": "b", "answer": "maybe"}]'),
+        ("latin1.json", '[{"source": "café", "target": "coffee", "answer": "yes"}]'),
     ]:
         path = tmp_path / name
-        path.write_text(payload, encoding="utf-8")
+        path.write_bytes(payload.encode("latin-1"))
         with pytest.raises(ConfigError):
             load_exemplars(path)
 
