@@ -73,8 +73,6 @@ from .retrieval import (
     VectorMatrix,
     align_retrieval,
     cosine_topk,
-    embed,
-    tfidf_fit,
 )
 
 __version__ = "0.1.0"
@@ -130,7 +128,6 @@ __all__ = [
     "compare",
     "cosine_topk",
     "derive_label",
-    "embed",
     "encode",
     "evaluate",
     "export_json",
@@ -146,7 +143,6 @@ __all__ = [
     "parse_reference_alignment",
     "read_answer",
     "run_pipeline",
-    "tfidf_fit",
     "threshold_filter",
     "token_set_ratio",
     "tokenize",

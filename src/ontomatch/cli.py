@@ -57,8 +57,7 @@ _ALIGN_FLAGS: tuple[tuple[str, type, str, tuple[str, ...]], ...] = (
     ("endpoint", str, "provider URL ('mock:' for offline mocks)",
      ("retrieval.provider_endpoint", "rag.retrieval.provider_endpoint", "rag.llm.endpoint")),
     ("model", str, "provider model identifier", ("retrieval.model", "rag.llm.model_id")),
-    ("out", str, "output alignment path", ("output_path",)),
-    ("format", str, "xml | json", ("output_format",)),
+    ("out", str, "output alignment path (.json for JSON, else XML)", ("output_path",)),
     ("config", str, "JSON config file", ()),
     ("seed", int, "seed for mock providers", ("seed",)),
 )
@@ -78,8 +77,7 @@ def _build_parser() -> _Parser:
 
     conv = sub.add_parser("convert", help="translate between XML and JSON alignments")
     conv.add_argument("--in", dest="input", required=True, help="input alignment file")
-    conv.add_argument("--out", required=True, help="output alignment file")
-    conv.add_argument("--format", required=True, choices=("xml", "json"), help="output format")
+    conv.add_argument("--out", required=True, help="output alignment file (.json for JSON, else XML)")
 
     comp = sub.add_parser("compare", help="rank run reports")
     comp.add_argument("reports", nargs="+", help="run report JSON files")
@@ -151,7 +149,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    write_alignment(parse_reference_alignment(args.input), args.out, args.format)
+    write_alignment(parse_reference_alignment(args.input), args.out)
     print(f"wrote {args.out}")
     return 0
 

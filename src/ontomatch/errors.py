@@ -32,7 +32,7 @@ class MalformedDocument(OntomatchError):
 
 
 class UnsupportedFormat(OntomatchError):
-    """A format hint or file extension the parser does not handle."""
+    """A file suffix the parser does not handle."""
 
 
 class MissingEntity(OntomatchError):
@@ -68,7 +68,7 @@ class ProviderError(OntomatchError):
         self.body_excerpt = body_excerpt
 
 
-class TemplateError(OntomatchError):
+class TemplateError(ConfigError):
     """A prompt template is missing a required placeholder."""
 
 

@@ -1,9 +1,10 @@
 """Writing alignments in the OAEI cell XML vocabulary and as JSON.
 
 This module holds only writers; ``parsing.parse_reference_alignment``
-reads both formats back.  Output is byte-deterministic: fixed element
-order, fixed namespace declarations, measures printed as plain decimals
-with at most six fractional digits (never scientific notation).
+reads both formats back, and ``parsing.is_json_alignment`` names the
+format from the file suffix for both.  Output is byte-deterministic: fixed
+element order, fixed namespace declarations, measures printed as plain
+decimals with at most six fractional digits (never scientific notation).
 
 Each format has one renderer that yields the text in chunks of at most
 1024 cells.  :func:`write_alignment` streams those chunks to the file, so
@@ -24,11 +25,13 @@ from pathlib import Path
 from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import ConfigError, InvalidScore
+from .errors import InvalidScore
 from .mapping import AlignmentDocument, Correspondence
-from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS
+from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS, is_json_alignment
 
 _XSD_FLOAT_ATTR = quoteattr(XSD_NS + "float")
+# XML end-of-line handling reads a raw "\r" in element text back as "\n".
+_TEXT_ENTITIES = {"\r": "&#13;"}
 # Cells rendered per chunk handed to the file; bounds the text in memory.
 _CHUNK_CELLS = 1024
 
@@ -49,6 +52,7 @@ def _check_cell(cell: Correspondence, index: int) -> None:
 
 
 def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
+    text = functools.cache(lambda value: escape(value, _TEXT_ENTITIES))
     yield "\n".join([
         '<?xml version="1.0" encoding="utf-8"?>',
         f'<rdf:RDF xmlns={quoteattr(ALIGNMENT_NS)}',
@@ -56,10 +60,10 @@ def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
         f'         xmlns:xsd={quoteattr(XSD_NS)}>',
         "  <Alignment>",
         "    <xml>yes</xml>",
-        f"    <level>{escape(document.level)}</level>",
-        f"    <type>{escape(document.type)}</type>",
-        f"    <onto1>{escape(document.onto1)}</onto1>",
-        f"    <onto2>{escape(document.onto2)}</onto2>",
+        f"    <level>{text(document.level)}</level>",
+        f"    <type>{text(document.type)}</type>",
+        f"    <onto1>{text(document.onto1)}</onto1>",
+        f"    <onto2>{text(document.onto2)}</onto2>",
         "",
     ])
     quote = functools.cache(quoteattr)  # an IRI recurs in many cells
@@ -71,7 +75,7 @@ def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
             "      <Cell>\n"
             f"        <entity1 rdf:resource={quote(cell.source)}/>\n"
             f"        <entity2 rdf:resource={quote(cell.target)}/>\n"
-            f"        <relation>{escape(cell.relation)}</relation>\n"
+            f"        <relation>{text(cell.relation)}</relation>\n"
             f"        <measure rdf:datatype={_XSD_FLOAT_ATTR}>{format_measure(cell.score)}</measure>\n"
             "      </Cell>\n"
             "    </map>\n"
@@ -139,16 +143,7 @@ def atomic_write(path: str | Path, data: str | Iterable[str]) -> None:
         raise
 
 
-def write_alignment(
-    document: AlignmentDocument,
-    path: str | Path,
-    output_format: str = "xml",
-) -> None:
-    """Serialize and atomically write an alignment file, chunk by chunk."""
-    if output_format == "xml":
-        chunks = _xml_chunks(document)
-    elif output_format == "json":
-        chunks = _json_chunks(document)
-    else:
-        raise ConfigError(f"unknown output format: {output_format!r}")
+def write_alignment(document: AlignmentDocument, path: str | Path) -> None:
+    """Atomically write an alignment file, chunk by chunk, in the format its suffix names."""
+    chunks = _json_chunks(document) if is_json_alignment(path) else _xml_chunks(document)
     atomic_write(path, chunks)

@@ -9,6 +9,9 @@ Two input families are handled:
 * Alignments, as OAEI alignment-cell XML or the JSON that ``export``
   writes, both read into an ``AlignmentDocument`` of ``Correspondence`` cells.
 
+A file's suffix names its format: :func:`detect_format` for ontologies,
+:func:`is_json_alignment` for alignments, read here or written by ``export``.
+
 Only named classes survive: blank nodes (anonymous restrictions and the
 like) are dropped, as are classes from the RDF/RDFS/OWL/XSD builtin
 namespaces such as ``owl:Thing``.
@@ -50,13 +53,6 @@ _BUILTIN_NS = (RDF_NS, RDFS_NS, OWL_NS, XSD_NS)
 
 _XML_EXTENSIONS = {".owl", ".rdf", ".xml", ".rdfxml"}
 _TTL_EXTENSIONS = {".ttl", ".turtle"}
-_FORMAT_ALIASES = {
-    "rdf-xml": "rdf-xml",
-    "rdfxml": "rdf-xml",
-    "xml": "rdf-xml",
-    "turtle": "turtle",
-    "ttl": "turtle",
-}
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,8 @@ def derive_label(iri: str) -> str:
     return label if label else iri
 
 
-def detect_format(path: str | Path, format_hint: str | None = None) -> str:
-    """Resolve the serialization from an explicit hint or the file suffix."""
-    if format_hint is not None:
-        try:
-            return _FORMAT_ALIASES[format_hint.lower()]
-        except KeyError:
-            raise UnsupportedFormat(f"unknown ontology format hint: {format_hint!r}") from None
+def detect_format(path: str | Path) -> str:
+    """Resolve an ontology's serialization from its file suffix."""
     suffix = Path(path).suffix.lower()
     if suffix in _XML_EXTENSIONS:
         return "rdf-xml"
@@ -125,20 +116,15 @@ def detect_format(path: str | Path, format_hint: str | None = None) -> str:
     raise UnsupportedFormat(f"cannot infer ontology format from suffix {suffix!r}")
 
 
-def parse_ontology(path: str | Path, format_hint: str | None = None) -> Ontology:
-    """Parse an ontology file into an :class:`Ontology`.
-
-    Args:
-        path: local file path.
-        format_hint: "rdf-xml" or "turtle"; inferred from the suffix when
-            omitted.
+def parse_ontology(path: str | Path) -> Ontology:
+    """Parse an ontology file into an :class:`Ontology`; its suffix names its format.
 
     Raises:
         FileNotFoundError: the path does not exist.
-        UnsupportedFormat: unknown hint or suffix.
+        UnsupportedFormat: unknown suffix.
         MalformedDocument: the file cannot be parsed.
     """
-    fmt = detect_format(path, format_hint)
+    fmt = detect_format(path)
     if fmt == "rdf-xml":
         triples = _triples_from_rdfxml(_xml_root(path, "RDF/XML"))
     else:
@@ -594,6 +580,11 @@ def _cell_entity(cell: ET.Element, name: str, index: int) -> str:
     raise MissingEntity(f"cell {index}: missing <{name}>")
 
 
+def is_json_alignment(path: str | Path) -> bool:
+    """An alignment file holds JSON when its suffix is ``.json`` (any case), else XML."""
+    return Path(path).suffix.lower() == ".json"
+
+
 def load_json_alignment(path: str | Path) -> list[Correspondence]:
     """Read a JSON alignment back into correspondences."""
     try:
@@ -624,7 +615,7 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
 
 
 def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
-    """Read an alignment file: JSON for a ``.json`` suffix (any case), else XML.
+    """Read an alignment file, JSON or XML as :func:`is_json_alignment` says.
 
     JSON cells are kept as written, duplicates included.  XML gives one
     cell per ``Cell`` element, in document order, duplicate (source,
@@ -637,7 +628,7 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
         MalformedDocument: XML or JSON errors, or non-numeric measures.
         MissingEntity: an XML cell lacks entity1 or entity2.
     """
-    if Path(path).suffix.lower() == ".json":
+    if is_json_alignment(path):
         return AlignmentDocument.from_correspondences(load_json_alignment(path))
     root = _xml_root(path, "alignment XML")
     headers = {}

@@ -51,7 +51,6 @@ class PipelineConfig:
     rag: RAGConfig = field(default_factory=RAGConfig)
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     output_path: str = "alignment.xml"
-    output_format: str = "xml"
     pair_cap: int = DEFAULT_PAIR_CAP
     seed: int = 0
 
@@ -63,8 +62,6 @@ class PipelineConfig:
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method: {self.method!r}")
         EncodingView.parse(self.view)
-        if self.output_format not in ("xml", "json"):
-            raise ConfigError(f"unknown output format: {self.output_format!r}")
         if self.pair_cap < 1:
             raise ConfigError(f"pair_cap must be positive, got {self.pair_cap}")
         self.fuzzy.validate()
@@ -230,7 +227,7 @@ def run_pipeline(
         document = AlignmentDocument.from_correspondences(
             correspondences, onto1=cfg.source_path, onto2=cfg.target_path,
         )
-        write_alignment(document, cfg.output_path, cfg.output_format)
+        write_alignment(document, cfg.output_path)
 
     report = RunReport(
         method=cfg.method,

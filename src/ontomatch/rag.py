@@ -225,11 +225,11 @@ def _load_journal(path: str) -> dict[tuple[str, str], Decision]:
     journal = Path(path)
     if not journal.exists():
         return decided
-    for line_no, line in enumerate(journal.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(journal.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
+            entry = json.loads(line.decode("utf-8"))
             confidence, label, fallback = entry["confidence"], entry["label"], entry["fallback"]
             # A confidence that is not a number in [0, 1] (a bool, NaN, 1.5), a
             # label other than yes/no or a fallback flag that is not a bool is as
@@ -238,7 +238,7 @@ def _load_journal(path: str) -> dict[tuple[str, str], Decision]:
                     and label in ("yes", "no") and type(fallback) is bool):
                 decided[(entry["source"], entry["target"])] = Decision(label, float(confidence), fallback)
                 continue
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):  # ValueError: not UTF-8, or not JSON
             pass
         logger.warning("skipping malformed journal line %d in %s", line_no, path)
     return decided

@@ -87,7 +87,6 @@ class VectorMatrix:
     """Row vectors (one per text), L2-normalized where non-zero."""
 
     values: np.ndarray | sparse.csr_matrix
-    vocabulary: dict[str, int] | None = None
 
     @property
     def rows(self) -> int:
@@ -155,12 +154,6 @@ def _normalize_rows_sparse(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
 def normalize_rows(values: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(values, axis=1, keepdims=True)
     return np.divide(values, norms, out=np.zeros_like(values), where=norms > 0)
-
-
-def tfidf_fit(corpus: list[str] | tuple[str, ...]) -> VectorMatrix:
-    """Fit TF-IDF on a corpus and return its own weighted vectors."""
-    model = TfidfModel().fit(corpus)
-    return VectorMatrix(values=model.transform(corpus), vocabulary=dict(model.vocabulary))
 
 
 # --------------------------------------------------------------------------
@@ -264,16 +257,6 @@ def make_embedding_provider(cfg: RetrievalConfig, seed: int = 0):
         mock_seed = int(query["seed"][0]) if "seed" in query else seed
         return MockEmbeddingProvider(dim=dim, seed=mock_seed)
     return HttpEmbeddingProvider(endpoint, cfg.model, cfg.batch_size, cfg.timeout)
-
-
-def embed(texts: list[str] | tuple[str, ...], endpoint: str, *,
-          model: str | None = None, batch_size: int = 32,
-          timeout: float = 30.0, seed: int = 0) -> VectorMatrix:
-    """Embed texts through an endpoint URL (HTTP or "mock:")."""
-    cfg = RetrievalConfig(backend="embedding", provider_endpoint=endpoint,
-                          model=model, batch_size=batch_size, timeout=timeout)
-    with closing(make_embedding_provider(cfg, seed=seed)) as provider:
-        return VectorMatrix(values=provider.embed(texts))
 
 
 # --------------------------------------------------------------------------
@@ -391,8 +374,8 @@ def align_retrieval(
 
     if cfg.backend == "tfidf":
         model = TfidfModel().fit(list(source.texts) + list(target.texts))
-        src_vec = VectorMatrix(values=model.transform(source.texts), vocabulary=model.vocabulary)
-        tgt_vec = VectorMatrix(values=model.transform(target.texts), vocabulary=model.vocabulary)
+        src_vec = VectorMatrix(values=model.transform(source.texts))
+        tgt_vec = VectorMatrix(values=model.transform(target.texts))
     else:
         with ExitStack() as owned:
             if provider is None:

@@ -105,7 +105,12 @@ def alignment_xml(
     onto2: str = "",
 ) -> str:
     """OAEI cell XML for (entity1, entity2, relation, measure) cells, one
-    line at a time, with every attribute quoted where it is written."""
+    line at a time, with every attribute quoted where it is written and a
+    carriage return in element text written as ``&#13;``."""
+
+    def escape_text(value: str) -> str:
+        return escape(value, {"\r": "&#13;"})
+
     lines = [
         '<?xml version="1.0" encoding="utf-8"?>',
         '<rdf:RDF xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment#"',
@@ -115,8 +120,8 @@ def alignment_xml(
         "    <xml>yes</xml>",
         "    <level>0</level>",
         "    <type>??</type>",
-        f"    <onto1>{escape(onto1)}</onto1>",
-        f"    <onto2>{escape(onto2)}</onto2>",
+        f"    <onto1>{escape_text(onto1)}</onto1>",
+        f"    <onto2>{escape_text(onto2)}</onto2>",
     ]
     for entity1, entity2, relation, measure in cells:
         text = f"{measure:.6f}".rstrip("0")
@@ -127,7 +132,7 @@ def alignment_xml(
             "      <Cell>",
             f"        <entity1 rdf:resource={quoteattr(entity1)}/>",
             f"        <entity2 rdf:resource={quoteattr(entity2)}/>",
-            f"        <relation>{escape(relation)}</relation>",
+            f"        <relation>{escape_text(relation)}</relation>",
             f'        <measure rdf:datatype={quoteattr("http://www.w3.org/2001/XMLSchema#float")}>{text}</measure>',
             "      </Cell>",
             "    </map>",

@@ -106,7 +106,7 @@ def test_align_survives_a_provider_sending_malformed_logprobs(corpus, tmp_path, 
     out = tmp_path / "rag.json"
     code = main([
         "align", "--source", str(source), "--target", str(target), "--method", "rag",
-        "--endpoint", http_server.url, "--tl", "0.6", "--out", str(out), "--format", "json",
+        "--endpoint", http_server.url, "--tl", "0.6", "--out", str(out),
     ])
     assert code == 0
     assert len(load_json_alignment(out)) == 0
@@ -119,7 +119,7 @@ def test_align_exits_2_on_a_null_completion_text(corpus, tmp_path, http_server, 
     out = tmp_path / "rag.json"
     code = main([
         "align", "--source", str(source), "--target", str(target), "--method", "rag",
-        "--endpoint", http_server.url, "--out", str(out), "--format", "json",
+        "--endpoint", http_server.url, "--out", str(out),
     ])
     assert code == 2
     assert "not a string" in capsys.readouterr().err
@@ -298,6 +298,46 @@ def test_rag_view_key_is_rejected(corpus, tmp_path, capsys):
     assert "unknown config key 'view' in section 'rag'" in capsys.readouterr().err
 
 
+def test_output_format_is_neither_a_config_key_nor_a_flag(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    config = tmp_path / "json-out.json"
+    config.write_text(json.dumps({"output_format": "json"}), encoding="utf-8")
+    paths = ["--source", str(source), "--target", str(target), "--out", str(tmp_path / "a.json")]
+    assert main(["align", "--config", str(config), *paths]) == 1
+    _one_error_line(capsys, "config error", "unknown config key 'output_format'")
+    assert main(["align", "--format", "json", *paths]) == 1
+    _one_error_line(capsys, "config error", "--format")
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_a_bad_prompt_template_is_a_config_error(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    config = tmp_path / "template.json"
+    config.write_text(json.dumps({"rag": {"template": {"query_block": "no placeholders"}}}), encoding="utf-8")
+    code = main([
+        "align", "--config", str(config), "--source", str(source), "--target", str(target),
+        "--method", "fuzzy", "--out", str(tmp_path / "a.xml"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", "query_block must contain {src} exactly once")
+
+
+@pytest.mark.parametrize("name", ["x.json", "x.JSON"])
+def test_align_out_json_is_read_back_by_eval(corpus, tmp_path, capsys, name):
+    source, target, reference = corpus
+    out = tmp_path / name
+    code = main([
+        "align", "--source", str(source), "--target", str(target),
+        "--reference", str(reference), "--out", str(out),
+    ])
+    assert code == 0
+    aligned = json.loads(capsys.readouterr().out)["metrics"]
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 3
+    assert main(["eval", "--pred", str(out), "--ref", str(reference)]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert {**evaluated, "seconds": None} == {**aligned, "seconds": None}
+
+
 def test_eval_prints_metric_json(corpus, tmp_path, capsys):
     _, _, reference = corpus
     predicted = tmp_path / "pred.json"
@@ -363,12 +403,12 @@ def test_convert_roundtrips_through_json_byte_identically(tmp_path, capsys):
     original.write_text(export_xml(AlignmentDocument.from_correspondences(cells)), encoding="utf-8")
 
     as_json = tmp_path / "converted.json"
-    assert main(["convert", "--in", str(original), "--out", str(as_json), "--format", "json"]) == 0
+    assert main(["convert", "--in", str(original), "--out", str(as_json)]) == 0
     assert capsys.readouterr().out.strip() == f"wrote {as_json}"
     assert load_json_alignment(as_json) == cells
 
     back = tmp_path / "back.xml"
-    assert main(["convert", "--in", str(as_json), "--out", str(back), "--format", "xml"]) == 0
+    assert main(["convert", "--in", str(as_json), "--out", str(back)]) == 0
     assert back.read_bytes() == original.read_bytes()
 
 
@@ -386,7 +426,7 @@ def test_convert_preserves_onto_headers_from_xml(corpus, tmp_path, capsys):
     )
     for original in (out, leveled):
         copy = tmp_path / "copy.xml"
-        assert main(["convert", "--in", str(original), "--out", str(copy), "--format", "xml"]) == 0
+        assert main(["convert", "--in", str(original), "--out", str(copy)]) == 0
         assert copy.read_bytes() == original.read_bytes()
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import alignment_json, alignment_xml
 
 from ontomatch import export
-from ontomatch.errors import ConfigError, InvalidScore, MalformedDocument
+from ontomatch.cli import main
+from ontomatch.errors import InvalidScore, MalformedDocument
 from ontomatch.export import (
     AlignmentDocument,
     atomic_write,
@@ -134,7 +135,7 @@ def test_json_roundtrip_preserves_cells_and_provenance(tmp_path):
         Correspondence("http://a#2", "http://b#2", "<", 0.25, "rag"),
     ]
     path = tmp_path / "alignment.json"
-    write_alignment(AlignmentDocument.from_correspondences(cells), path, "json")
+    write_alignment(AlignmentDocument.from_correspondences(cells), path)
     assert load_json_alignment(path) == cells
 
 
@@ -167,6 +168,56 @@ _cell_text = st.text(min_size=1, max_size=12)
 def test_json_matches_a_one_shot_json_dump(cells):
     document = AlignmentDocument(cells=tuple(Correspondence(*cell) for cell in cells))
     assert export_json(document) == alignment_json(cells)
+
+
+# Any XML 1.0 character: markup, quotes, whitespace, non-ASCII and astral.
+_xml_char = st.one_of(
+    st.sampled_from("&<>\"'\t\n\r ;#"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+)
+_iri = st.text(_xml_char, min_size=1, max_size=8)
+# Scores on, just off and halfway between six-decimal grid points.
+_score = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(lambda n, off: min(1.0, max(0.0, n / 1e6 + off)),
+              st.integers(0, 10**6), st.sampled_from([0.0, 5e-7, -5e-7, 1e-12, -1e-12])),
+)
+_documents = st.builds(
+    AlignmentDocument,
+    cells=st.lists(
+        st.builds(Correspondence, _iri, _iri, st.sampled_from(["=", "<", ">", "&", "%", "a\rb"]), _score,
+                  st.text(_xml_char, max_size=4)),
+        max_size=5, unique_by=Correspondence.key,
+    ).map(tuple),
+    onto1=st.text(_xml_char, max_size=6),
+    onto2=st.text(_xml_char, max_size=6),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_documents)
+def test_written_alignments_read_back_by_their_suffix(tmp_path_factory, document):
+    folder = tmp_path_factory.mktemp("roundtrip")
+    cells = [(c.source, c.target, c.relation, c.score, c.provenance) for c in document.cells]
+    for name in ("a.json", "a.JSON"):
+        write_alignment(document, folder / name)
+        back = parse_reference_alignment(folder / name)
+        assert [(c.source, c.target, c.relation, c.score, c.provenance) for c in back.cells] == cells
+    write_alignment(document, folder / "a.xml")
+    back = parse_reference_alignment(folder / "a.xml")
+    assert [(c.source, c.target, c.relation, c.score) for c in back.cells] == [
+        (source, target, relation, float(format_measure(score))) for source, target, relation, score, _ in cells
+    ]
+    assert (back.onto1, back.onto2) == (document.onto1.strip(), document.onto2.strip())
+
+    headless = folder / "headless.xml"
+    write_alignment(AlignmentDocument(cells=document.cells), headless)
+    assert main(["convert", "--in", str(headless), "--out", str(folder / "b.json")]) == 0
+    assert len(load_json_alignment(folder / "b.json")) == len(cells)
+    assert main(["convert", "--in", str(folder / "b.json"), "--out", str(folder / "c.xml")]) == 0
+    assert (folder / "c.xml").read_bytes() == headless.read_bytes()
 
 
 def test_json_loader_fills_optional_fields(tmp_path):
@@ -239,45 +290,48 @@ _DOCUMENTS = {
         onto1="http://a&b", onto2="<b>",
     ),
     "several chunks": AlignmentDocument.from_correspondences(_cells(2 * export._CHUNK_CELLS + 3)),
+    "carriage returns": AlignmentDocument.from_correspondences(
+        [Correspondence("http://a#x\ry", "http://b#y", "a\rb", 0.5, "p\r")], onto1="a\r\nb", onto2="\r",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_DOCUMENTS))
-@pytest.mark.parametrize("output_format,exporter", [("xml", export_xml), ("json", export_json)])
-def test_written_bytes_equal_the_exported_text(tmp_path, name, output_format, exporter):
+@pytest.mark.parametrize("suffix,exporter", [("xml", export_xml), ("json", export_json)])
+def test_written_bytes_equal_the_exported_text(tmp_path, name, suffix, exporter):
     document = _DOCUMENTS[name]
-    path = tmp_path / f"out.{output_format}"
-    write_alignment(document, path, output_format)
+    path = tmp_path / f"out.{suffix}"
+    write_alignment(document, path)
     assert path.read_bytes() == exporter(document).encode("utf-8")
     cells = [(c.source, c.target, c.relation, c.score, c.provenance) for c in document.cells]
-    if output_format == "xml":
+    if suffix == "xml":
         oracle = alignment_xml([cell[:4] for cell in cells], document.onto1, document.onto2)
     else:
         oracle = alignment_json(cells)
     assert exporter(document) == oracle
 
 
-@pytest.mark.parametrize("output_format", ["xml", "json"])
-def test_invalid_cell_past_the_first_chunk_leaves_the_target_untouched(tmp_path, output_format):
-    path = tmp_path / f"out.{output_format}"
+@pytest.mark.parametrize("suffix", ["xml", "json"])
+def test_invalid_cell_past_the_first_chunk_leaves_the_target_untouched(tmp_path, suffix):
+    path = tmp_path / f"out.{suffix}"
     path.write_text("previous run", encoding="utf-8")
     bad = Correspondence("http://a#x", "http://b#y", "=", 1.5, "x")
     document = AlignmentDocument(cells=(*_cells(export._CHUNK_CELLS + 10), bad))
     with pytest.raises(InvalidScore, match=f"cell {export._CHUNK_CELLS + 10}:"):
-        write_alignment(document, path, output_format)
+        write_alignment(document, path)
     assert os.listdir(tmp_path) == [path.name]
     assert path.read_text(encoding="utf-8") == "previous run"
 
 
-@pytest.mark.parametrize("output_format", ["xml", "json"])
-def test_write_alignment_memory_does_not_grow_with_the_file(tmp_path, output_format):
+@pytest.mark.parametrize("suffix", ["xml", "json"])
+def test_write_alignment_memory_does_not_grow_with_the_file(tmp_path, suffix):
     # 20k cells over 2000 source and 2000 target IRIs, as a top-10 retrieval
     # run writes them; rendering the whole text at once peaks at 2-7x the file.
     document = AlignmentDocument.from_correspondences(_cells(20_000, fan_out=10, targets=2000))
-    path = tmp_path / f"out.{output_format}"
+    path = tmp_path / f"out.{suffix}"
     tracemalloc.start()
     try:
-        write_alignment(document, path, output_format)
+        write_alignment(document, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,10 +352,4 @@ def test_atomic_write_cleans_up_when_rename_fails(tmp_path, monkeypatch):
     monkeypatch.setattr("ontomatch.export.os.replace", boom)
     with pytest.raises(OSError):
         atomic_write(tmp_path / "out.xml", "payload")
-    assert os.listdir(tmp_path) == []
-
-
-def test_write_alignment_rejects_unknown_formats(tmp_path):
-    with pytest.raises(ConfigError):
-        write_alignment(single_cell_document(), tmp_path / "out.yaml", "yaml")
     assert os.listdir(tmp_path) == []

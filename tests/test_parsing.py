@@ -265,21 +265,9 @@ def test_detect_format_from_suffix():
     assert detect_format("x.ttl") == "turtle"
 
 
-def test_detect_format_hint_aliases():
-    assert detect_format("x.dat", "xml") == "rdf-xml"
-    assert detect_format("x.dat", "TTL") == "turtle"
-
-
 def test_unknown_suffix_and_hint_rejected():
     with pytest.raises(UnsupportedFormat):
         detect_format("x.txt")
-    with pytest.raises(UnsupportedFormat):
-        detect_format("x.owl", "n3")
-
-
-def test_format_hint_overrides_suffix(tmp_path):
-    path = write_rdfxml(tmp_path / "onto.dat", [{"iri": BASE + "A"}])
-    assert parse_ontology(path, "rdf-xml").iris() == (BASE + "A",)
 
 
 def test_missing_file_raises_file_not_found():

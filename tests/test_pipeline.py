@@ -84,7 +84,6 @@ def test_config_dict_roundtrip_preserves_everything():
         ),
         postprocess=PostprocessConfig(threshold=0.5, cardinality="one_to_one_greedy"),
         output_path="out.json",
-        output_format="json",
         pair_cap=5000,
         seed=3,
     )
@@ -137,8 +136,6 @@ def test_config_validation_catches_bad_fields():
     with pytest.raises(ConfigError):
         PipelineConfig(source_path="a", target_path="b", view="CPX").validate()
     with pytest.raises(ConfigError):
-        PipelineConfig(source_path="a", target_path="b", output_format="csv").validate()
-    with pytest.raises(ConfigError):
         PipelineConfig(source_path="a", target_path="b", pair_cap=0).validate()
 
 
@@ -188,7 +185,6 @@ def test_retrieval_run_with_mock_embeddings(corpus_paths, tmp_path):
         retrieval=RetrievalConfig(backend="embedding", top_k=1, threshold=0.9,
                                   provider_endpoint="mock:?dim=16"),
         output_path=str(tmp_path / "alignment.json"),
-        output_format="json",
     )
     correspondences, report = run_pipeline(cfg)
     assert report.metrics.f1 == 100.0

@@ -395,12 +395,13 @@ def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
         "label": "yes",
         "fallback": False,
     })
-    journal.write_text(valid + "\nnot json at all\n", encoding="utf-8")
+    journal.write_bytes(valid.encode("utf-8") + b"\nnot json at all\n\xff\xfe junk\n")
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
     client = MockLLMClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
     assert "journal line 2" in caplog.text
+    assert "journal line 3" in caplog.text  # not UTF-8
     assert client.call_count == 4  # the valid line is honored
     assert len(out) == 5
 

@@ -30,10 +30,8 @@ from ontomatch.retrieval import (
     VectorMatrix,
     align_retrieval,
     cosine_topk,
-    embed,
     make_embedding_provider,
     normalize_rows,
-    tfidf_fit,
 )
 
 WORDS = ["alloy", "steel", "iron", "copper", "zinc", "oxide", "heat", "melt", "quartz", "phase"]
@@ -62,8 +60,7 @@ def test_tfidf_hand_computed_example():
 
 
 def test_tfidf_identical_docs_are_unit_vectors():
-    vectors = tfidf_fit(["x", "x"])
-    dense = vectors.values.toarray()
+    dense = TfidfModel().fit(["x", "x"]).transform(["x", "x"]).toarray()
     assert np.allclose(dense, [[1.0], [1.0]])
 
 
@@ -82,10 +79,9 @@ def test_tfidf_matches_dict_oracle_on_random_corpora():
 
 def test_tfidf_fit_is_deterministic():
     corpus = ["alloy steel", "iron oxide", "heat"]
-    first = tfidf_fit(corpus)
-    second = tfidf_fit(corpus)
+    first, second = TfidfModel().fit(corpus), TfidfModel().fit(corpus)
     assert first.vocabulary == second.vocabulary
-    assert (first.values != second.values).nnz == 0
+    assert (first.transform(corpus) != second.transform(corpus)).nnz == 0
 
 
 def test_tfidf_unknown_terms_transform_to_zero_rows():
@@ -141,7 +137,8 @@ def test_make_provider_requires_endpoint():
 
 
 def test_embed_helper_with_mock_endpoint():
-    matrix = embed(["alloy", "steel", "iron"], "mock:?dim=8")
+    provider = make_embedding_provider(RetrievalConfig(backend="embedding", provider_endpoint="mock:?dim=8"))
+    matrix = VectorMatrix(values=provider.embed(["alloy", "steel", "iron"]))
     assert matrix.rows == 3 and matrix.dim == 8
 
 
