@@ -13,6 +13,11 @@ its memory does not grow with the alignment; :func:`export_xml` and
 atomically (temp file in the target directory, then rename) so readers
 never observe a half-written alignment, and a cell rejected mid-stream
 leaves any existing file untouched.
+
+Text and attribute values are escaped by two small helpers with the
+behaviour of ``xml.sax.saxutils``'s ``escape`` and ``quoteattr``, so
+importing this module does not load ``xml.sax`` (which imports
+``urllib.request`` and, through it, ``http.client``, ``email`` and ``ssl``).
 """
 
 from __future__ import annotations
@@ -23,17 +28,33 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import InvalidScore
 from .mapping import AlignmentDocument, Correspondence
 from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS, is_json_alignment
 
-_XSD_FLOAT_ATTR = quoteattr(XSD_NS + "float")
-# XML end-of-line handling reads a raw "\r" in element text back as "\n".
-_TEXT_ENTITIES = {"\r": "&#13;"}
 # Cells rendered per chunk handed to the file; bounds the text in memory.
 _CHUNK_CELLS = 1024
+
+
+def _escape(text: str) -> str:
+    """``saxutils.escape(text, {"\\r": "&#13;"})``: XML end-of-line handling
+    would read a raw carriage return in element text back as a line feed."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace("\r", "&#13;")
+
+
+def _quoteattr(text: str) -> str:
+    """``saxutils.quoteattr(text)``: escaped, line feeds and tabs too, and
+    double-quoted, or single-quoted when the text holds ``"`` but no ``'``."""
+    text = _escape(text).replace("\n", "&#10;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
+
+
+_XSD_FLOAT_ATTR = _quoteattr(XSD_NS + "float")
 
 
 def format_measure(score: float) -> str:
@@ -52,12 +73,12 @@ def _check_cell(cell: Correspondence, index: int) -> None:
 
 
 def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
-    text = functools.cache(lambda value: escape(value, _TEXT_ENTITIES))
+    text = functools.cache(_escape)
     yield "\n".join([
         '<?xml version="1.0" encoding="utf-8"?>',
-        f'<rdf:RDF xmlns={quoteattr(ALIGNMENT_NS)}',
-        f'         xmlns:rdf={quoteattr(RDF_NS)}',
-        f'         xmlns:xsd={quoteattr(XSD_NS)}>',
+        f'<rdf:RDF xmlns={_quoteattr(ALIGNMENT_NS)}',
+        f'         xmlns:rdf={_quoteattr(RDF_NS)}',
+        f'         xmlns:xsd={_quoteattr(XSD_NS)}>',
         "  <Alignment>",
         "    <xml>yes</xml>",
         f"    <level>{text(document.level)}</level>",
@@ -66,7 +87,7 @@ def _xml_chunks(document: AlignmentDocument) -> Iterator[str]:
         f"    <onto2>{text(document.onto2)}</onto2>",
         "",
     ])
-    quote = functools.cache(quoteattr)  # an IRI recurs in many cells
+    quote = functools.cache(_quoteattr)  # an IRI recurs in many cells
     chunk = []
     for index, cell in enumerate(document.cells):
         _check_cell(cell, index)

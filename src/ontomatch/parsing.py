@@ -599,17 +599,21 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
             raise MalformedDocument(f"alignment JSON cell {index} is not an object")
         if "source" not in item or "target" not in item:
             raise MalformedDocument(f"alignment JSON cell {index} lacks source/target")
+        fields = {"relation": "=", "provenance": "", **item}
+        for name in ("source", "target", "relation", "provenance"):
+            if not isinstance(fields[name], str):
+                raise MalformedDocument(f"alignment JSON cell {index} has a non-string {name} {fields[name]!r}")
         score = item.get("score", 1.0)
         try:
             score = float(score)
         except (TypeError, ValueError):
             raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}") from None
         cells.append(Correspondence(
-            source=str(item["source"]),
-            target=str(item["target"]),
-            relation=str(item.get("relation", "=")),
+            source=fields["source"],
+            target=fields["target"],
+            relation=fields["relation"],
             score=score,
-            provenance=str(item.get("provenance", "")),
+            provenance=fields["provenance"],
         ))
     return cells
 

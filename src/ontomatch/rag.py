@@ -220,12 +220,15 @@ def align_llm_pairwise(
 # --------------------------------------------------------------------------
 
 
-def _load_journal(path: str) -> dict[tuple[str, str], Decision]:
+def _load_journal(path: str) -> tuple[dict[tuple[str, str], Decision], bool]:
+    """The journal's usable decisions, and whether it ends mid-line (a run
+    cut while writing), so the next append must start on a new line."""
     decided: dict[tuple[str, str], Decision] = {}
     journal = Path(path)
     if not journal.exists():
-        return decided
-    for line_no, line in enumerate(journal.read_bytes().splitlines(), 1):
+        return decided, False
+    data = journal.read_bytes()
+    for line_no, line in enumerate(data.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -241,7 +244,7 @@ def _load_journal(path: str) -> dict[tuple[str, str], Decision]:
         except (ValueError, KeyError, TypeError):  # ValueError: not UTF-8, or not JSON
             pass
         logger.warning("skipping malformed journal line %d in %s", line_no, path)
-    return decided
+    return decided, bool(data) and not data.endswith(b"\n")
 
 
 def align_rag(
@@ -277,7 +280,7 @@ def align_rag(
     candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider, seed=seed)
     pairs = [(src_index[c.source], tgt_index[c.target]) for c in candidates]
 
-    decided = _load_journal(cfg.journal_path) if cfg.journal_path else {}
+    decided, torn = _load_journal(cfg.journal_path) if cfg.journal_path else ({}, False)
     pending = [
         (i, j) for i, j in pairs
         if (src_corpus.iris[i], tgt_corpus.iris[j]) not in decided
@@ -308,8 +311,9 @@ def align_rag(
                 ))
             if journal is not None and lines:
                 with journal.open("a", encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                    fh.write(("\n" if torn else "") + "\n".join(lines) + "\n")
                     fh.flush()
+                torn = False
 
     provenance = "rag:fewshot" if cfg.shots else "rag"
     out = []

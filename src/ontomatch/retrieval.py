@@ -10,6 +10,10 @@ Two vector backends share one candidate-selection path:
 Unlike the fuzzy aligner this stage is recall-oriented: every top-k
 candidate at or above the similarity threshold is emitted, and a later
 filtering stage decides what survives.
+
+scipy is imported by the TF-IDF path only, on its first transform: a
+vector matrix is dense when its values are a numpy array, so embedding
+retrieval and the other aligners never load it.
 """
 
 from __future__ import annotations
@@ -20,15 +24,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
-from scipy import sparse
 
 from .encoding import EncodedCorpus, tokenize
 from .errors import ConfigError, DimensionMismatch, EmptyCorpus, ProviderError, ViewMismatch
 from .mapping import Correspondence
 from .transport import connection_pool, post_json
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _BACKENDS = ("tfidf", "embedding")
 # Source rows whose similarity rows are in memory at once, across all workers.
@@ -125,6 +132,8 @@ class TfidfModel:
         return self
 
     def transform(self, texts: list[str] | tuple[str, ...]) -> sparse.csr_matrix:
+        from scipy import sparse
+
         indptr = [0]
         indices: list[int] = []
         data: list[float] = []
@@ -146,6 +155,8 @@ class TfidfModel:
 
 
 def _normalize_rows_sparse(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+    from scipy import sparse
+
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return (sparse.diags(scale) @ matrix).tocsr()
@@ -288,7 +299,10 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     if source.dim != target.dim:
         raise DimensionMismatch(f"source dim {source.dim} != target dim {target.dim}")
     k_eff = min(k, target.rows)
-    if sparse.issparse(source.values):
+    dense = isinstance(source.values, np.ndarray)
+    if not dense:
+        from scipy import sparse
+
         workers = _worker_count()
         rows = max(1, min(_BLOCK_ROWS // workers, _SCRATCH_BYTES // (20 * max(1, target.rows))))
         # One CSR transpose up front; a CSC one is converted on every product.
@@ -301,12 +315,12 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     def score(start: int) -> CandidateList:
         block = source.values[start:start + rows]
         n = block.shape[0]
-        if n == 1 and not sparse.issparse(block):
+        if n == 1 and dense:
             # numpy hands a one-row product to gemv, whose sums differ in
             # the last bits from a gemm row's.
             block = np.repeat(block, 2, axis=0)
         sims = block @ target_t
-        if sparse.issparse(sims):
+        if not isinstance(sims, np.ndarray):
             sims = sims.toarray()
         return [_select_topk(row, k_eff) for row in np.asarray(sims)[:n]]
 

@@ -11,6 +11,9 @@ twice with exponential backoff; so are HTTP 429 and 503, which sleep for the
 server's ``Retry-After`` seconds when it gives them.  Every other HTTP error
 status fails at once.  urllib3's own retries are off, so these are the only
 ones.
+
+``urllib3`` and ``urllib.request`` are imported where a pool is built and a
+request is sent, so a run that never talks HTTP does not load them.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.request
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
-import urllib3
-
 from .errors import EndpointUnreachable, ProviderError
+
+if TYPE_CHECKING:
+    import urllib3
 
 API_KEY_ENV = "ONTOMATCH_API_KEY"
 _BODY_EXCERPT = 200
@@ -32,14 +35,6 @@ _BODY_EXCERPT = 200
 _RETRY_STATUSES = frozenset({429, 503})
 # Upper bound on a server-requested Retry-After sleep, in seconds.
 MAX_RETRY_AFTER_S = 60.0
-# Connection failures and timeouts; urllib3 raises these as they are
-# because retries are off.
-_UNREACHABLE = (
-    urllib3.exceptions.TimeoutError,
-    urllib3.exceptions.ProtocolError,
-    urllib3.exceptions.SSLError,
-    urllib3.exceptions.ProxyError,
-)
 
 
 def auth_headers() -> dict[str, str]:
@@ -58,6 +53,10 @@ def connection_pool(url: str, maxsize: int = 1) -> urllib3.PoolManager:
     ``NO_PROXY`` does not cover its host, a direct pool otherwise.  The
     caller owns the pool and releases its sockets with ``clear()``.
     """
+    import urllib.request
+
+    import urllib3
+
     parts = urlsplit(url)
     proxy = urllib.request.getproxies().get(parts.scheme)
     if proxy and not urllib.request.proxy_bypass(parts.netloc):
@@ -91,6 +90,12 @@ def post_json(
         ProviderError: an HTTP error status (429 and 503 after retries),
             carrying a body excerpt, or a body that is not JSON.
     """
+    from urllib3 import exceptions
+
+    # Connection failures and timeouts; urllib3 raises these as they are
+    # because retries are off.
+    unreachable = (exceptions.TimeoutError, exceptions.ProtocolError,
+                   exceptions.SSLError, exceptions.ProxyError)
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     attempt = 0
     while True:
@@ -99,7 +104,7 @@ def post_json(
             response = pool.request(
                 "POST", url, body=body, headers=auth_headers(), timeout=timeout, retries=False,
             )
-        except _UNREACHABLE as exc:
+        except unreachable as exc:
             if attempt >= retries:
                 raise EndpointUnreachable(f"cannot reach {url}: {exc}") from exc
         else:

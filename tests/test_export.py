@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,13 @@ _xml_char = st.one_of(
     st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
 )
 _iri = st.text(_xml_char, min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("&<>\"'\t\n\r"), st.characters()), max_size=12))
+def test_escape_helpers_match_saxutils(text):
+    assert export._escape(text) == saxutils.escape(text, {"\r": "&#13;"})
+    assert export._quoteattr(text) == saxutils.quoteattr(text)
 # Scores on, just off and halfway between six-decimal grid points.
 _score = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
@@ -244,6 +252,10 @@ def test_json_loader_rejects_bad_documents(tmp_path):
         ('["http://a#1"]', "cell 0 is not an object"),
         ('[{"source": "http://a#1"}]', "cell 0 lacks source/target"),
         ('[{"source": "a", "target": "b", "score": "high"}]', "cell 0 has a non-numeric score 'high'"),
+        ('[{"source": null, "target": "http://b#x", "relation": null}]', "cell 0 has a non-string source None"),
+        ('[{"source": "a", "target": "b"}, {"source": "a", "target": 7}]', "cell 1 has a non-string target 7"),
+        ('[{"source": "a", "target": "b", "relation": null}]', "cell 0 has a non-string relation None"),
+        ('[{"source": "a", "target": "b", "provenance": {"m": 1}}]', "cell 0 has a non-string provenance"),
     ]:
         bad_cell = tmp_path / "bad_cell.json"
         bad_cell.write_text(payload, encoding="utf-8")

@@ -375,6 +375,24 @@ def test_journal_resume_skips_already_decided_pairs(tmp_path):
     assert resumed == clean
 
 
+def test_a_torn_last_journal_line_is_asked_again_once(tmp_path, caplog):
+    journal = tmp_path / "run.jsonl"
+    source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    align_rag(source, target, cfg)
+    data = journal.read_bytes()
+    journal.write_bytes(data[:data.rindex(b"\n", 0, -1) + 20])  # cut mid-way through the last line
+
+    first = MockLLMClient()
+    with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
+        align_rag(source, target, cfg, client=first)
+    assert first.call_count == 1  # only the torn pair
+    second = MockLLMClient()
+    align_rag(source, target, cfg, client=second)
+    assert second.call_count == 0
+    assert "journal line 5" in caplog.text
+
+
 def test_journal_entries_are_sorted_json_objects(tmp_path):
     journal = tmp_path / "run.jsonl"
     source, target = rag_fixtures()
