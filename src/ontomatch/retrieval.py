@@ -48,6 +48,8 @@ _BLOCK_ROWS = 512
 # lowest without costing time; smaller blocks pay more per-block overhead.
 _SCRATCH_BYTES = 2 << 20
 _MAX_WORKERS = 8
+# Unit roundoff of float64: one rounding errs by at most this relative amount.
+_U = 2.0 ** -53
 
 # Ranked candidates per source row: (target row index, cosine similarity).
 CandidateList = list[list[tuple[int, float]]]
@@ -246,15 +248,26 @@ class HttpEmbeddingProvider:
         slots: list[list[float] | None] = [None] * expected
         for item in data:
             try:
-                slots[int(item["index"])] = item["embedding"]
-            except (KeyError, TypeError, ValueError, IndexError):
+                index, vector = item["index"], item["embedding"]
+            except (KeyError, TypeError):
                 raise ProviderError(200, "embedding response item lacks index/embedding") from None
+            if type(index) is not int or not 0 <= index < expected or not isinstance(vector, list):
+                raise ProviderError(200, f"embedding item {index!r} is not an index in [0, {expected}) with a list")
+            slots[index] = vector
         if any(slot is None for slot in slots):
             raise ProviderError(200, "embedding response indexes do not cover the batch")
         widths = {len(s) for s in slots}  # type: ignore[arg-type]
         if len(widths) != 1:
             raise DimensionMismatch(f"embedding rows of mixed widths {sorted(widths)}")
-        return np.asarray(slots, dtype=float)
+        # JSON numbers arrive as int or float, and Python's json parses NaN and Infinity as floats.
+        numbers = {type(value) for slot in slots for value in slot} <= {int, float}  # type: ignore[union-attr]
+        try:
+            rows = np.asarray(slots, dtype=float) if numbers else None
+        except OverflowError:  # an integer beyond the float range
+            rows = None
+        if rows is None or not rows.size or not np.isfinite(rows).all():
+            raise ProviderError(200, "embedding response holds an empty vector or a value that is not a finite number")
+        return rows
 
 
 def make_embedding_provider(cfg: RetrievalConfig, seed: int = 0):
@@ -264,8 +277,11 @@ def make_embedding_provider(cfg: RetrievalConfig, seed: int = 0):
         raise ConfigError("embedding backend needs provider_endpoint")
     if endpoint.startswith("mock:"):
         query = parse_qs(urlparse(endpoint).query)
-        dim = int(query.get("dim", ["64"])[0])
-        mock_seed = int(query["seed"][0]) if "seed" in query else seed
+        try:
+            dim = int(query.get("dim", ["64"])[0])
+            mock_seed = int(query["seed"][0]) if "seed" in query else seed
+        except ValueError:
+            raise ConfigError(f"mock embedding endpoint {endpoint!r}: dim and seed must be integers") from None
         return MockEmbeddingProvider(dim=dim, seed=mock_seed)
     return HttpEmbeddingProvider(endpoint, cfg.model, cfg.batch_size, cfg.timeout)
 
@@ -281,48 +297,46 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     Rows are assumed normalized, so the similarity is a plain dot product.
     Candidates are ranked by descending similarity with ties broken by
     ascending target index; the ranking for k is always a prefix of the
-    ranking for k+1.
+    ranking for k+1.  Blocks of at most 512 / threads rows run on up to
+    ``min(cores, 8)`` threads; a sparse (TF-IDF) block also holds at most
+    ``_SCRATCH_BYTES`` (2 MiB), about 20 bytes per (row, target) pair.
+    No score depends on its block, the core count or the BLAS: sparse
+    sums never do, and a dense (embedding) row scores the left-to-right
+    sum of its float64 products, which BLAS only shortlists.
 
-    Sparse (TF-IDF) sources are scored in row blocks on up to
-    ``min(cores, 8)`` threads.  A block holds at most 512 / threads rows
-    and at most ``_SCRATCH_BYTES`` (2 MiB) of scratch, about 20 bytes per
-    (row, target) pair, so the memory in flight does not grow with the
-    number of targets.  A sparse row's sums do not depend on the rows
-    around it, so the output is exact: the same at any core count and
-    block size.  BLAS picks its kernels by matrix shape and by a row's
-    place in the matrix, so the last bits of a dense row's sums depend on
-    its block; dense (embedding) sources keep 512-row blocks on one
-    thread, whatever the core count, and BLAS threads each product itself.
+    Summed in any order, the products lie within γ_d·‖x‖‖y‖ of the exact
+    dot product, γ_d = d·u/(1 - d·u), u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.1).  With t the k-th
+    largest BLAS score and E = γ_d·‖x‖·max_j ‖y_j‖, the fixed-order top k
+    scores at least t - 2E, as the k targets at or above t do, so its BLAS
+    scores are at least t - 4E: every target there is rescored.  The
+    margin uses the computed norms, plus 2u·‖x‖·max_j ‖y_j‖ for rounding.
     """
     if k < 1:
         raise ConfigError(f"top_k must be >= 1, got {k}")
     if source.dim != target.dim:
         raise DimensionMismatch(f"source dim {source.dim} != target dim {target.dim}")
     k_eff = min(k, target.rows)
+    workers = _worker_count()
+    rows = max(1, _BLOCK_ROWS // workers)
     dense = isinstance(source.values, np.ndarray)
-    if not dense:
+    if dense:
+        gamma = target.dim * _U / (1 - target.dim * _U)
+        slack = (4 * gamma + 2 * _U) * np.linalg.norm(target.values, axis=1).max(initial=0.0)
+        target_t = target.values.T
+    else:
         from scipy import sparse
 
-        workers = _worker_count()
-        rows = max(1, min(_BLOCK_ROWS // workers, _SCRATCH_BYTES // (20 * max(1, target.rows))))
+        rows = max(1, min(rows, _SCRATCH_BYTES // (20 * max(1, target.rows))))
         # One CSR transpose up front; a CSC one is converted on every product.
         target_t = sparse.csr_matrix(target.values.T)
-    else:
-        # Dense blocks stay whole: their sums depend on the block (see above).
-        workers, rows = 1, _BLOCK_ROWS
-        target_t = target.values.T
 
     def score(start: int) -> CandidateList:
         block = source.values[start:start + rows]
-        n = block.shape[0]
-        if n == 1 and dense:
-            # numpy hands a one-row product to gemv, whose sums differ in
-            # the last bits from a gemm row's.
-            block = np.repeat(block, 2, axis=0)
-        sims = block @ target_t
-        if not isinstance(sims, np.ndarray):
-            sims = sims.toarray()
-        return [_select_topk(row, k_eff) for row in np.asarray(sims)[:n]]
+        if not dense:
+            return [_select_topk(row, k_eff) for row in (block @ target_t).toarray()]
+        scored = zip(block @ target_t, slack * np.linalg.norm(block, axis=1), block)
+        return [_select_topk(row, k_eff, margin, x, target.values) for row, margin, x in scored]
 
     starts = range(0, source.rows, rows)
     if workers == 1 or len(starts) == 1:
@@ -342,19 +356,21 @@ def _worker_count() -> int:
     return min(cores, _MAX_WORKERS)
 
 
-def _select_topk(row: np.ndarray, k: int) -> list[tuple[int, float]]:
+def _select_topk(row: np.ndarray, k: int, margin: float = 0.0, x: np.ndarray | None = None,
+                 targets: np.ndarray | None = None) -> list[tuple[int, float]]:
+    """Top k of the targets within ``margin`` of the k-th largest, scored by x·y summed in order if given."""
     n = row.shape[0]
     if k >= n:
         candidates = np.arange(n)
     else:
         # The k-th largest value: partitioning values is cheaper than
-        # partitioning indices.  Re-gather everything at or above it so equal
-        # values are decided by index, not by the partition's arbitrary split.
-        floor = -np.partition(-row, k - 1)[k - 1]
-        candidates = np.flatnonzero(row >= floor)
-    order = np.lexsort((candidates, -row[candidates]))
-    chosen = candidates[order[:k]]
-    return list(zip(chosen.tolist(), row[chosen].tolist()))
+        # partitioning indices.  Re-gather everything from it down to the
+        # margin so equal values are decided by index, not by the split.
+        floor = np.partition(row, n - k)[n - k]
+        candidates = np.flatnonzero(row >= floor - margin)
+    scores = row[candidates] if x is None or not x.size else np.add.accumulate(x * targets[candidates], axis=1)[:, -1]
+    order = np.lexsort((candidates, -scores))[:k]
+    return list(zip(candidates[order].tolist(), scores[order].tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package:
 textbook dynamic programming for subsequences, dict-based TF-IDF,
-pure-Python ranking, line-by-line alignment XML and one-shot alignment
-JSON.  Tests trust agreement between two implementations, not either one
-alone.
+pure-Python ranking, brute-force top-k scoring, line-by-line alignment
+XML and one-shot alignment JSON.  Tests trust agreement between two
+implementations, not either one alone.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from xml.sax.saxutils import escape, quoteattr
+
+import numpy as np
 
 
 def lcs_dp(a: str, b: str) -> int:
@@ -97,6 +99,22 @@ def rank_candidates(
         ranked = sorted(range(len(sims)), key=lambda j: (-sims[j], j))[:k]
         out.append([(j, sims[j]) for j in ranked if sims[j] >= threshold])
     return out
+
+
+def topk(source, target, k: int) -> list[list[tuple[int, float]]]:
+    """Every source row's top k targets by :func:`rank_candidates`' rule.
+
+    Sparse (scipy) rows score with one unblocked product.  Dense (numpy)
+    rows score as the left-to-right sum of their float64 products, built
+    one dimension at a time across all pairs.
+    """
+    if hasattr(source, "toarray"):
+        sims = (source @ target.T).toarray()
+    else:
+        sims = np.zeros((source.shape[0], target.shape[0]))
+        for j in range(source.shape[1]):
+            sims += source[:, j, None] * target[None, :, j]
+    return rank_candidates(sims.tolist(), k, -math.inf)
 
 
 def alignment_xml(

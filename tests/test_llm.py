@@ -111,6 +111,19 @@ def test_logprob_that_is_not_a_log_probability_falls_back_to_text(http_server, t
     assert decision == Decision(label="yes", confidence=0.5, fallback=True)
 
 
+def test_zero_logprob_is_a_certain_answer_not_a_fallback(http_server):
+    # greedy decoding reports a certain token as logprob 0.0, probability 1
+    http_server.app = completion_app("yes", {" yes": 0.0, " no": math.log(0.25)})
+    decision = client_for(http_server).binary_decision("prompt")
+    assert decision == Decision(label="yes", confidence=0.8)
+
+
+def test_even_masses_decide_yes(http_server):
+    http_server.app = completion_app("no", {" yes": -1.0, " no": -1.0})
+    decision = client_for(http_server).binary_decision("prompt")
+    assert decision == Decision(label="yes", confidence=0.5)
+
+
 def test_negative_infinity_logprob_is_zero_mass(http_server):
     http_server.app = completion_app("no", {" yes": -math.inf, " no": math.log(0.2)})
     decision = client_for(http_server).binary_decision("prompt")
@@ -284,6 +297,11 @@ def test_mock_without_rules_scores_by_label_similarity():
     assert different.label == "no"
 
 
+def test_mock_confidence_of_one_half_is_yes():
+    client = MockLLMClient(rules={("a", "b"): 0.5})
+    assert client.binary_decision("p", meta=("a", "b")) == Decision(label="yes", confidence=0.5)
+
+
 def test_mock_requires_label_meta():
     with pytest.raises(ConfigError):
         MockLLMClient().binary_decision("p", meta=None)
@@ -329,3 +347,7 @@ def test_factory_picks_client_by_endpoint_scheme():
 def test_llm_config_validation(kwargs):
     with pytest.raises(ConfigError):
         LLMConfig(**kwargs).validate()
+
+
+def test_llm_config_accepts_a_batch_of_one():
+    LLMConfig(batch_size=1).validate()

@@ -135,3 +135,5 @@ def test_postprocess_config_validation():
     with pytest.raises(ConfigError):
         PostprocessConfig(cardinality="one_to_many").validate()
     PostprocessConfig(threshold=None).validate()
+    PostprocessConfig(threshold=0.0).validate()
+    PostprocessConfig(threshold=1.0).validate()

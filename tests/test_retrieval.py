@@ -5,12 +5,16 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import make_corpus
-from oracles import dot, rank_candidates, tfidf_vectors
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dot, rank_candidates, tfidf_vectors, topk
 
 import ontomatch.retrieval as retrieval
 import ontomatch.transport as transport
@@ -134,6 +138,9 @@ def test_make_provider_parses_mock_endpoint():
 def test_make_provider_requires_endpoint():
     with pytest.raises(ConfigError):
         make_embedding_provider(RetrievalConfig(backend="embedding"))
+    for endpoint in ("mock:?dim=x", "mock:?seed=abc", "mock:?dim=1.5"):
+        with pytest.raises(ConfigError, match=re.escape(repr(endpoint))):
+            make_embedding_provider(RetrievalConfig(backend="embedding", provider_endpoint=endpoint))
 
 
 def test_embed_helper_with_mock_endpoint():
@@ -201,6 +208,30 @@ def test_http_provider_rejects_gapped_indexes(http_server):
     provider = HttpEmbeddingProvider(http_server.url)
     with pytest.raises(ProviderError):
         provider.embed(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [{"index": -1, "embedding": [1.0, 0.0]}, {"index": 0, "embedding": [0.0, 1.0]}],
+        [{"index": "0", "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0.7, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": [math.nan, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": [math.inf, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": ["a", 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": ["1.5", 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": [10 ** 400, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": [True, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}],
+        [{"index": 0, "embedding": []}, {"index": 1, "embedding": []}],
+    ],
+    ids=["negative-index", "string-index", "float-index", "nan", "infinity", "text", "numeric-text", "overflow",
+         "bool", "empty"],
+)
+def test_http_provider_rejects_bad_items(http_server, items):
+    # NaN and Infinity arrive the way Python's json parses them
+    http_server.app = lambda path, payload: (200, {"data": items})
+    with pytest.raises(ProviderError):
+        HttpEmbeddingProvider(http_server.url).embed(["a", "b"])
 
 
 def test_http_provider_surfaces_status_errors(http_server, monkeypatch):
@@ -349,18 +380,87 @@ def test_dense_topk_does_not_depend_on_the_worker_count(monkeypatch, workers):
     tgt = VectorMatrix(values=provider.embed([f"target {j}" for j in range(300)]))
     expected = _topk_with(monkeypatch, src, tgt, 5, rows_in_flight=512, workers=1)
     assert _topk_with(monkeypatch, src, tgt, 5, rows_in_flight=512, workers=workers) == expected
-    assert _RecordingPool.sizes == []
+    assert _RecordingPool.sizes == ([workers] if workers > 1 else [])
 
 
 @pytest.mark.parametrize("block_rows", [512, 256, 3])
 def test_dense_tail_row_scores_as_if_alone(monkeypatch, block_rows):
-    # a one-row product would go to gemv, whose sums differ from gemm's
+    # BLAS sums a one-row product (gemv) differently from a many-row one
+    # (gemm); the fixed-order rescoring must not see the difference
     provider = MockEmbeddingProvider(dim=64, seed=7)
     src = VectorMatrix(values=provider.embed([f"source {i}" for i in range(513)]))
     tgt = VectorMatrix(values=provider.embed([f"target {j}" for j in range(300)]))
     ranked = _topk_with(monkeypatch, src, tgt, 5, block_rows, workers=1)
     alone = cosine_topk(VectorMatrix(values=src.values[512:513]), tgt, 5)
     assert ranked[512] == alone[0]
+
+
+def _tie_heavy_targets() -> np.ndarray:
+    # 300 mock rows: row 299 copies row 5, row 250 copies row 17, row 120 is
+    # zero and row 298 is one ulp above row 40 in every component
+    rows = MockEmbeddingProvider(dim=64).embed([f"t{j}" for j in range(300)])
+    rows[299], rows[250] = rows[5], rows[17]
+    rows[120] = 0.0
+    rows[298] = np.nextafter(rows[40], np.inf)
+    return rows
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dense_topk_equals_the_fixed_order_oracle_on_ties(monkeypatch, block_rows, workers):
+    src = VectorMatrix(values=MockEmbeddingProvider(dim=64).embed([f"s{i}" for i in range(100)]))
+    tgt = VectorMatrix(values=_tie_heavy_targets())
+    for k in (3, 300):
+        got = _topk_with(monkeypatch, src, tgt, k, block_rows * workers, workers)
+        assert got == topk(src.values, tgt.values, k)
+    # at k = 300 every row ranks every target; equal vectors score equally,
+    # so the lower index ranks first
+    for row in got:
+        order = [j for j, _ in row]
+        assert order.index(5) < order.index(299) and order.index(17) < order.index(250)
+        assert dict(row)[5] == dict(row)[299]
+
+
+@pytest.mark.parametrize("seed", [192, 234, 265])
+def test_dense_topk_margin_covers_cancelling_sums(seed):
+    # Products of both signs and magnitudes up to 1e8 cancel.  On these seeds
+    # x86-64 OpenBLAS scores the two copies of one target (only zero rows
+    # compete with them) more than u*|x|*|y| apart in some rows, which a
+    # margin of u would miss; on any BLAS the output equals the oracle.
+    rng = np.random.default_rng(seed)
+    values = np.array([1.0, -1.0, 1e8, -1e8, 3e-8, 0.1, 1 / 3, 7.0])
+    d = int(rng.choice([8, 16, 24, 32, 64]))
+    copy = rng.choice(values, size=d) * rng.random(d)
+    src = rng.choice(values, size=(64, d)) * rng.random((64, d))
+    tgt = np.zeros((300, d))
+    tgt[5] = tgt[299] = copy
+    assert cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), 1) == topk(src, tgt, 1)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Source and target rows, dense or sparse, with ties and zero rows."""
+    m, n, d = draw(st.integers(1, 12)), draw(st.integers(0, 12)), draw(st.integers(1, 8))
+    # large values of both signs cancel, so summation order shows in the last bits
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.1, 1 / 3, 1e8, -1e8, 3e-8]), st.floats(-1.0, 1.0))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+    src = np.array([draw(st.sampled_from(rows)) for _ in range(m)]).reshape(m, d)
+    tgt = np.array([draw(st.sampled_from(rows)) for _ in range(n)]).reshape(n, d)
+    if draw(st.booleans()):
+        from scipy import sparse
+
+        src, tgt = sparse.csr_matrix(src), sparse.csr_matrix(tgt)
+    return src, tgt
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pair=_vector_pairs(), k=st.integers(1, 14), block_rows=st.integers(1, 5), workers=st.integers(1, 3))
+def test_topk_equals_the_oracle_on_random_inputs(pair, k, block_rows, workers):
+    src, tgt = pair
+    with mock.patch.object(retrieval, "_BLOCK_ROWS", block_rows * workers), \
+            mock.patch.object(retrieval, "_worker_count", lambda: workers):
+        got = cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), k)
+    assert got == topk(src, tgt, k)
 
 
 def test_candidate_nesting():
