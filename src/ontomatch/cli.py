@@ -54,12 +54,11 @@ _ALIGN_FLAGS: tuple[tuple[str, type, str, tuple[str, ...]], ...] = (
     ("topk", int, "retrieval candidates per concept", ("retrieval.top_k", "rag.retrieval.top_k")),
     ("ns", int, "few-shot examples per prompt", ("rag.shots",)),
     ("batch", int, "provider batch size", ("retrieval.batch_size", "rag.llm.batch_size")),
-    ("endpoint", str, "provider URL ('mock:' for offline mocks)",
+    ("endpoint", str, "provider URL, or 'mock:' for the offline mocks; llm and rag methods need one",
      ("retrieval.provider_endpoint", "rag.retrieval.provider_endpoint", "rag.llm.endpoint")),
     ("model", str, "provider model identifier", ("retrieval.model", "rag.llm.model_id")),
     ("out", str, "output alignment path (.json for JSON, else XML)", ("output_path",)),
     ("config", str, "JSON config file", ()),
-    ("seed", int, "seed for mock providers", ("seed",)),
 )
 
 

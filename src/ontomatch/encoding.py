@@ -116,23 +116,19 @@ def encode(ontology: Ontology, view: EncodingView | str) -> EncodedCorpus:
     if not ontology.concepts:
         raise EmptyOntology(f"no concepts in {ontology.source_path or 'ontology'}")
 
-    index = {concept.iri: concept for concept in ontology.concepts}
+    labels = {concept.iri: _safe_label(concept.label, concept.iri) for concept in ontology.concepts}
     iris = []
     texts = []
     structured = []
     for concept in ontology.concepts:
-        label = _safe_label(concept.label, concept.iri)
+        label = labels[concept.iri]
         if view is EncodingView.CC:
             related_iris = concept.children
         elif view is EncodingView.CP:
             related_iris = concept.parents
         else:
             related_iris = ()
-        related = tuple(
-            _safe_label(index[iri].label, iri)
-            for iri in related_iris[:RELATED_LABEL_CAP]
-            if iri in index
-        )
+        related = tuple(labels[iri] for iri in related_iris[:RELATED_LABEL_CAP] if iri in labels)
         synonyms = _unique_normalized(concept.synonyms, label)
         label_segment = f"{label} ({'; '.join(synonyms)})" if synonyms else label
 

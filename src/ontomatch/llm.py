@@ -15,9 +15,11 @@ log-probability), the decision falls back to the completion text at a flat
 0.5 confidence, marked on the decision, and :func:`read_answer` labels it:
 "yes" if the case-folded text contains "yes", else "no".
 
-The mock client is a pure function of its inputs: confidence comes from an
-explicit rule table, or else from the fuzzy ratio of the concept labels.
-Tests pass the label pair through ``meta`` so prompts never get parsed.
+The endpoint has no default: a URL, or ``mock:`` for the offline mock, a
+pure function of its inputs.  Its confidence comes from an explicit rule
+table, or else from the fuzzy ratio of the concept labels, and its
+completion is that decision's label.  Clients take (prompt, (source label,
+target label)) items, so prompts never get parsed; HTTP sends the prompt.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 from .errors import ConfigError, ProviderError
 from .fuzzy import fuzzy_ratio
-from .transport import connection_pool, post_json
+from .transport import connection_pool, mock_query, post_json
 
 _TOP_LOGPROBS = 20
 _OPTIONS = ("yes", "no")
@@ -47,8 +49,8 @@ class LLMConfig:
     """Settings for an LLM endpoint.
 
     Attributes:
-        endpoint: completion URL; the "mock:" scheme selects the offline
-            mock client.
+        endpoint: completion URL, or "mock:" for the offline mock client;
+            no default, so an LLM run names one.
         model_id: model name sent with each request.
         max_new_tokens: completion length cap.
         temperature: sampling temperature (0 keeps providers greedy).
@@ -56,7 +58,7 @@ class LLMConfig:
         batch_size: bound on concurrent in-flight requests.
     """
 
-    endpoint: str = "mock:"
+    endpoint: str | None = None
     model_id: str = "default"
     max_new_tokens: int = 10
     temperature: float = 0.0
@@ -64,8 +66,9 @@ class LLMConfig:
     batch_size: int = 64
 
     def validate(self) -> None:
-        if not self.endpoint:
+        if self.endpoint == "":
             raise ConfigError("llm endpoint must not be empty")
+        mock_query(self.endpoint)
         if self.max_new_tokens < 1:
             raise ConfigError(f"max_new_tokens must be positive, got {self.max_new_tokens}")
         if self.batch_size < 1:
@@ -102,6 +105,8 @@ class HttpLLMClient:
 
     def __init__(self, cfg: LLMConfig):
         cfg.validate()
+        if cfg.endpoint is None:
+            raise ConfigError("no LLM endpoint: set rag.llm.endpoint or pass --endpoint (a URL, or mock:)")
         self.cfg = cfg
         self._pool = connection_pool(cfg.endpoint, maxsize=cfg.batch_size)
 
@@ -130,9 +135,9 @@ class HttpLLMClient:
 
     # -- batched operations ---------------------------------------------
 
-    def complete_many(self, prompts: Sequence[str]) -> list[str]:
-        """Complete prompts with at most ``batch_size`` requests in flight."""
-        return self._pooled(self.complete, prompts)
+    def complete_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[str]:
+        """Complete (prompt, meta) items' prompts, preserving input order."""
+        return self._pooled(lambda item: self.complete(item[0]), items)
 
     def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
         """Binary-decide (prompt, meta) items, preserving input order."""
@@ -201,29 +206,21 @@ class MockLLMClient:
     Decisions are a pure function of the (source, target) label pair: the
     rule table wins when it lists the pair, a missing pair falls back to
     ``default_confidence``, and with no table at all the confidence is the
-    fuzzy ratio of the two labels.  Completions come from the canned
-    prompt -> text map.
+    fuzzy ratio of the two labels.  A completion is the label of the
+    decision on the same item.
     """
 
     def __init__(
         self,
         rules: dict[tuple[str, str], float] | None = None,
         default_confidence: float = MOCK_DEFAULT_CONFIDENCE,
-        canned: dict[str, str] | None = None,
-        default_completion: str = "no",
     ):
         self.rules = rules
         self.default_confidence = default_confidence
-        self.canned = canned or {}
-        self.default_completion = default_completion
         self.call_count = 0
 
     def close(self) -> None:
         """Nothing to release; here for the :class:`HttpLLMClient` surface."""
-
-    def complete(self, prompt: str) -> str:
-        self.call_count += 1
-        return self.canned.get(prompt, self.default_completion)
 
     def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
         self.call_count += 1
@@ -237,16 +234,17 @@ class MockLLMClient:
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
 
-    def complete_many(self, prompts: Sequence[str]) -> list[str]:
-        return [self.complete(p) for p in prompts]
+    def complete_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[str]:
+        return [decision.label for decision in self.decide_many(items)]
 
     def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
         return [self.binary_decision(prompt, meta) for prompt, meta in items]
 
 
 def make_llm_client(cfg: LLMConfig) -> HttpLLMClient | MockLLMClient:
-    """Build the client named by ``cfg.endpoint`` ("mock:" or an URL)."""
+    """Build the client named by ``cfg.endpoint``: a URL, or "mock:" (the
+    mock ignores the ``dim``/``seed`` query meant for the embedding mock)."""
     cfg.validate()
-    if cfg.endpoint.startswith("mock:"):
+    if mock_query(cfg.endpoint) is not None:
         return MockLLMClient()
     return HttpLLMClient(cfg)

@@ -3,7 +3,8 @@
 :class:`PipelineConfig` mirrors the JSON config-file schema one to one;
 :func:`run_pipeline` executes it and writes the alignment plus a run
 report (config echo, counts, metrics, per-stage seconds) next to the
-output file.  With mock endpoints and a fixed seed a run is fully
+output file.  An LLM method needs an endpoint: a URL, or ``mock:`` for
+the offline stand-ins (``mock:?seed=N`` seeds them), with which a run is
 deterministic: repeated runs produce byte-identical alignment files.
 """
 
@@ -52,7 +53,6 @@ class PipelineConfig:
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     output_path: str = "alignment.xml"
     pair_cap: int = DEFAULT_PAIR_CAP
-    seed: int = 0
 
     def validate(self) -> None:
         if not self.source_path:
@@ -172,8 +172,8 @@ def run_pipeline(
 
     Args:
         cfg: validated pipeline settings.
-        llm_client: optional injected client (otherwise built from config;
-            "mock:" endpoints select the offline mock).
+        llm_client: optional injected client (otherwise built from
+            ``rag.llm.endpoint``; "mock:" selects the offline mock).
         embedding_provider: optional injected embedding backend.
 
     Returns:
@@ -199,8 +199,7 @@ def run_pipeline(
             correspondences = align_fuzzy(corpora[0], corpora[1], cfg.fuzzy)
         elif cfg.method == "retrieval":
             correspondences = align_retrieval(
-                corpora[0], corpora[1], cfg.retrieval,
-                provider=embedding_provider, seed=cfg.seed,
+                corpora[0], corpora[1], cfg.retrieval, provider=embedding_provider,
             )
         elif cfg.method == "llm":
             correspondences = align_llm_pairwise(
@@ -212,7 +211,7 @@ def run_pipeline(
             shots = 0 if cfg.method == "rag" else (cfg.rag.shots or _DEFAULT_FEWSHOT)
             correspondences = align_rag(
                 source, target, replace(cfg.rag, shots=shots), view=view,
-                client=llm_client, provider=embedding_provider, seed=cfg.seed,
+                client=llm_client, provider=embedding_provider,
             )
 
     with clock.time("postprocess"):

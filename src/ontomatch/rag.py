@@ -138,6 +138,8 @@ def load_exemplars(path: str | Path) -> tuple[Exemplar, ...]:
     """Load few-shot exemplars from a JSON array of source/target/answer."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, no read permission
+        raise ConfigError(f"exemplar file {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"exemplar file {path} is not valid JSON: {exc}") from exc
     exemplars = exemplars_from_json(raw, f"exemplar file {path}")
@@ -166,9 +168,17 @@ def build_prompt(
     return "".join(parts)
 
 
-def _prompt_text(corpus: EncodedCorpus, index: int) -> str:
-    record = corpus.structured[index]
-    return render_concept(record.concept_label, record.related_labels, corpus.view)
+def _query(source: EncodedCorpus, target: EncodedCorpus, i: int, j: int,
+           shots: tuple[Exemplar, ...], template: PromptTemplate) -> tuple[str, tuple[str, str]]:
+    """The client item for source concept i and target concept j: the prompt
+    rendered at the corpora's view, and the two concept labels."""
+    src, tgt = source.structured[i], target.structured[j]
+    prompt = build_prompt(
+        render_concept(src.concept_label, src.related_labels, source.view),
+        render_concept(tgt.concept_label, tgt.related_labels, target.view),
+        shots, template,
+    )
+    return prompt, (src.concept_label, tgt.concept_label)
 
 
 # --------------------------------------------------------------------------
@@ -205,11 +215,8 @@ def align_llm_pairwise(
             client = owned.enter_context(closing(make_llm_client(cfg)))
         for start in range(0, len(pairs), cfg.batch_size):
             batch = pairs[start:start + cfg.batch_size]
-            prompts = [
-                build_prompt(_prompt_text(source, i), _prompt_text(target, j), (), template)
-                for i, j in batch
-            ]
-            for (i, j), generated in zip(batch, client.complete_many(prompts)):
+            items = [_query(source, target, i, j, (), template) for i, j in batch]
+            for (i, j), generated in zip(batch, client.complete_many(items)):
                 if read_answer(generated) == "yes":
                     out.append(Correspondence(source.iris[i], target.iris[j], "=", 1.0, "llm:pairwise"))
     return out
@@ -255,7 +262,6 @@ def align_rag(
     view: EncodingView = EncodingView.C,
     client=None,
     provider=None,
-    seed: int = 0,
 ) -> list[Correspondence]:
     """Retrieve candidate pairs, then keep those the model says yes to.
 
@@ -277,7 +283,7 @@ def align_rag(
     src_index = {iri: i for i, iri in enumerate(src_corpus.iris)}
     tgt_index = {iri: i for i, iri in enumerate(tgt_corpus.iris)}
 
-    candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider, seed=seed)
+    candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider)
     pairs = [(src_index[c.source], tgt_index[c.target]) for c in candidates]
 
     decided, torn = _load_journal(cfg.journal_path) if cfg.journal_path else ({}, False)
@@ -288,17 +294,11 @@ def align_rag(
 
     journal = Path(cfg.journal_path) if cfg.journal_path else None
     with ExitStack() as owned:
-        if pending and client is None:
+        if client is None:  # even with nothing to ask: an LLM run names its endpoint
             client = owned.enter_context(closing(make_llm_client(cfg.llm)))
         for start in range(0, len(pending), cfg.llm.batch_size):
             batch = pending[start:start + cfg.llm.batch_size]
-            items = []
-            for i, j in batch:
-                prompt = build_prompt(
-                    _prompt_text(src_prompts, i), _prompt_text(tgt_prompts, j), shots, cfg.template,
-                )
-                meta = (src_corpus.structured[i].concept_label, tgt_corpus.structured[j].concept_label)
-                items.append((prompt, meta))
+            items = [_query(src_prompts, tgt_prompts, i, j, shots, cfg.template) for i, j in batch]
             decisions = client.decide_many(items)
             lines = []
             for (i, j), decision in zip(batch, decisions):

@@ -25,14 +25,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
 from .encoding import EncodedCorpus, tokenize
 from .errors import ConfigError, DimensionMismatch, EmptyCorpus, ProviderError, ViewMismatch
 from .mapping import Correspondence
-from .transport import connection_pool, post_json
+from .transport import connection_pool, mock_query, post_json
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -63,8 +62,8 @@ class RetrievalConfig:
         backend: "tfidf" or "embedding".
         top_k: candidates kept per source concept.
         threshold: minimum similarity for a candidate to be emitted.
-        provider_endpoint: embedding service URL; the "mock:" scheme selects
-            the offline hash-based provider.
+        provider_endpoint: embedding service URL, or "mock:?dim=N&seed=M"
+            (both optional) for the offline hash-based provider.
         model: model identifier forwarded to the embedding service.
         batch_size: texts per embedding request.
         timeout: per-request timeout in seconds.
@@ -89,6 +88,7 @@ class RetrievalConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
+        mock_query(self.provider_endpoint)
 
 
 @dataclass(frozen=True)
@@ -270,19 +270,14 @@ class HttpEmbeddingProvider:
         return rows
 
 
-def make_embedding_provider(cfg: RetrievalConfig, seed: int = 0):
+def make_embedding_provider(cfg: RetrievalConfig):
     """Build the provider named by ``cfg.provider_endpoint``."""
     endpoint = cfg.provider_endpoint
     if not endpoint:
         raise ConfigError("embedding backend needs provider_endpoint")
-    if endpoint.startswith("mock:"):
-        query = parse_qs(urlparse(endpoint).query)
-        try:
-            dim = int(query.get("dim", ["64"])[0])
-            mock_seed = int(query["seed"][0]) if "seed" in query else seed
-        except ValueError:
-            raise ConfigError(f"mock embedding endpoint {endpoint!r}: dim and seed must be integers") from None
-        return MockEmbeddingProvider(dim=dim, seed=mock_seed)
+    query = mock_query(endpoint)
+    if query is not None:
+        return MockEmbeddingProvider(**query)
     return HttpEmbeddingProvider(endpoint, cfg.model, cfg.batch_size, cfg.timeout)
 
 
@@ -383,7 +378,6 @@ def align_retrieval(
     target: EncodedCorpus,
     cfg: RetrievalConfig,
     provider=None,
-    seed: int = 0,
 ) -> list[Correspondence]:
     """High-recall candidate alignment between two encoded corpora.
 
@@ -409,7 +403,7 @@ def align_retrieval(
     else:
         with ExitStack() as owned:
             if provider is None:
-                provider = owned.enter_context(closing(make_embedding_provider(cfg, seed=seed)))
+                provider = owned.enter_context(closing(make_embedding_provider(cfg)))
             src_vec = VectorMatrix(values=provider.embed(source.texts))
             tgt_vec = VectorMatrix(values=provider.embed(target.texts))
 

@@ -14,6 +14,9 @@ ones.
 
 ``urllib3`` and ``urllib.request`` are imported where a pool is built and a
 request is sent, so a run that never talks HTTP does not load them.
+
+:func:`mock_query` reads a ``mock:`` endpoint (an offline stand-in, not a
+URL) for the embedding and completion providers alike.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import json
 import os
 import time
 from typing import TYPE_CHECKING, Any, Callable
-from urllib.parse import urlsplit
+from urllib.parse import parse_qs, urlsplit
 
-from .errors import EndpointUnreachable, ProviderError
+from .errors import ConfigError, EndpointUnreachable, ProviderError
 
 if TYPE_CHECKING:
     import urllib3
@@ -35,6 +38,23 @@ _BODY_EXCERPT = 200
 _RETRY_STATUSES = frozenset({429, 503})
 # Upper bound on a server-requested Retry-After sleep, in seconds.
 MAX_RETRY_AFTER_S = 60.0
+
+
+def mock_query(endpoint: str | None) -> dict[str, int] | None:
+    """The integer ``dim``/``seed`` query of a ``mock:`` endpoint, or None for
+    any other endpoint.  Anything else after ``mock:`` (text before the
+    ``?``, another key, a repeated key, a value that is not an integer) is a
+    ConfigError naming the endpoint."""
+    if endpoint is None or not endpoint.startswith("mock:"):
+        return None
+    rest, _, query = endpoint[len("mock:"):].partition("?")
+    values = parse_qs(query, keep_blank_values=True)
+    try:
+        if not rest and set(values) <= {"dim", "seed"} and all(len(v) == 1 for v in values.values()):
+            return {key: int(value) for key, (value,) in values.items()}
+    except ValueError:  # a value that is not an integer
+        pass
+    raise ConfigError(f"mock endpoint {endpoint!r}: only integer dim and seed may follow 'mock:?'")
 
 
 def auth_headers() -> dict[str, str]:

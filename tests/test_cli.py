@@ -286,6 +286,72 @@ def test_exemplar_file_that_is_not_utf8_exits_1(corpus, tmp_path, capsys):
     assert code == 1
     _one_error_line(capsys, "config error", str(shots))
 
+
+@pytest.mark.parametrize("unreadable", ["missing", "folder"])
+def test_exemplar_file_that_cannot_be_read_exits_1(corpus, tmp_path, capsys, unreadable):
+    source, target, _ = corpus
+    shots = tmp_path / "shots.json"
+    if unreadable == "folder":
+        shots.mkdir()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rag": {"exemplars_path": str(shots)}}), encoding="utf-8")
+    code = main([
+        "align", "--config", str(config), "--source", str(source), "--target", str(target),
+        "--method", "fewshot_rag", "--endpoint", "mock:", "--out", str(tmp_path / "a.xml"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", str(shots))
+
+
+@pytest.mark.parametrize("method", ["llm", "fewshot_rag"])
+def test_an_llm_run_without_an_endpoint_exits_1(corpus, tmp_path, capsys, method):
+    source, target, _ = corpus
+    out = tmp_path / "a.xml"
+    code = main(["align", "--source", str(source), "--target", str(target), "--method", method, "--out", str(out)])
+    assert code == 1
+    _one_error_line(capsys, "config error", "rag.llm.endpoint", "--endpoint")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("endpoint", ["mock:?dim=x", "mock:?dims=8"])
+@pytest.mark.parametrize("method", ["llm", "retrieval"])
+def test_a_bad_mock_query_exits_1_for_every_method(corpus, tmp_path, capsys, method, endpoint):
+    source, target, _ = corpus
+    out = tmp_path / "a.xml"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--method", method,
+        "--endpoint", endpoint, "--out", str(out),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", endpoint)
+    assert not out.exists()
+
+
+def test_mock_llm_run_keeps_the_label_similar_pairs(corpus, tmp_path, capsys):
+    source, target, reference = corpus
+    out = tmp_path / "a.json"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--reference", str(reference),
+        "--method", "llm", "--endpoint", "mock:", "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["metrics"]["f1"] == 100.0
+    assert [(c.source, c.target, c.score) for c in load_json_alignment(out)] == [
+        (f"{SRC_BASE}C{i:03d}", f"{TGT_BASE}C{i:03d}", 1.0) for i in range(3)
+    ]
+
+
+def test_seed_is_neither_a_config_key_nor_a_flag(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps({"seed": 3}), encoding="utf-8")
+    paths = ["--source", str(source), "--target", str(target), "--out", str(tmp_path / "a.xml")]
+    assert main(["align", "--config", str(config), *paths]) == 1
+    _one_error_line(capsys, "config error", "unknown config key 'seed'")
+    assert main(["align", "--seed", "3", *paths]) == 1
+    _one_error_line(capsys, "config error", "--seed")
+
+
 def test_rag_view_key_is_rejected(corpus, tmp_path, capsys):
     source, target, _ = corpus
     config = tmp_path / "rag-view.json"

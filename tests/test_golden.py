@@ -1,0 +1,48 @@
+"""Every shipped align config, run offline, writes a pinned alignment file.
+
+Each ``configs/*.json`` align config runs through the CLI with ``--endpoint
+mock:`` on one small fixed pair, and the SHA-256 of its output must equal
+the pin in ``golden.json``.  The pair is built here, not by the benchmark's
+generator, so a benchmark change cannot move the pins; the paths are
+relative, so the XML headers name no temporary directory.  A change that
+moves a pin changes what a run writes: say why, then update ``golden.json``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from conftest import ontology_from_labels
+
+from ontomatch.cli import main
+from ontomatch.parsing import parse_reference_alignment
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PINS = Path(__file__).resolve().parent / "golden.json"
+
+# Shared, near and unrelated labels under a small hierarchy, so the views
+# render different texts and the label-similarity mock says both yes and no.
+SOURCE_LABELS = ["metal", "alloy", "copper", "zinc", "quartz", "basalt", "bronze alloy"]
+TARGET_LABELS = ["metal", "alloy", "copper ore", "zinc", "granite", "basalt rock", "bronze"]
+HIERARCHY = {1: [0], 2: [0], 3: [0], 6: [1]}
+
+
+def test_every_shipped_config_writes_its_pinned_alignment(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ontology_from_labels(Path("src.owl"), SOURCE_LABELS, "http://example.org/a#", HIERARCHY)
+    ontology_from_labels(Path("tgt.owl"), TARGET_LABELS, "http://example.org/b#", HIERARCHY)
+    got = {}
+    for config in sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("exemplars")):
+        out = Path(config.stem + ".xml")
+        code = main([
+            "align", "--config", str(config), "--source", "src.owl", "--target", "tgt.owl",
+            "--endpoint", "mock:", "--out", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        got[config.name] = {
+            "cells": len(parse_reference_alignment(out).cells),
+            "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+        }
+    assert got == json.loads(PINS.read_text(encoding="utf-8"))

@@ -246,7 +246,7 @@ def test_batched_completion_preserves_order_and_bounds_concurrency(http_server):
     http_server.app = app
     client = client_for(http_server, batch_size=3)
     prompts = [f"p{i}" for i in range(12)]
-    assert client.complete_many(prompts) == [f"echo:{p}" for p in prompts]
+    assert client.complete_many([(p, None) for p in prompts]) == [f"echo:{p}" for p in prompts]
     assert len(http_server.requests) == 12
     assert 1 <= http_server.max_active <= 3
 
@@ -307,12 +307,13 @@ def test_mock_requires_label_meta():
         MockLLMClient().binary_decision("p", meta=None)
 
 
-def test_mock_canned_completions():
-    client = MockLLMClient(canned={"known prompt": "yes"})
-    assert client.complete("known prompt") == "yes"
-    assert client.complete("other") == "no"
-    assert client.complete_many(["known prompt", "other"]) == ["yes", "no"]
-    assert client.call_count == 4
+def test_mock_completions_are_its_decisions_labels():
+    items = [("p1", ("a", "b")), ("p2", ("a", "c")), ("p3", ("copper", "copper")), ("p4", ("copper", "iron"))]
+    for client in (MockLLMClient(rules={("a", "b"): 0.7}), MockLLMClient()):
+        assert client.complete_many(items) == [d.label for d in client.decide_many(items)]
+        assert client.call_count == 2 * len(items)
+    assert MockLLMClient(rules={("a", "b"): 0.7}).complete_many(items) == ["yes", "no", "no", "no"]
+    assert MockLLMClient().complete_many(items[2:]) == ["yes", "no"]
 
 
 def test_mock_decide_many_matches_singles():
@@ -326,7 +327,16 @@ def test_mock_decide_many_matches_singles():
 
 def test_factory_picks_client_by_endpoint_scheme():
     assert isinstance(make_llm_client(LLMConfig(endpoint="mock:")), MockLLMClient)
+    assert isinstance(make_llm_client(LLMConfig(endpoint="mock:?dim=8&seed=3")), MockLLMClient)
     assert isinstance(make_llm_client(LLMConfig(endpoint="http://h/v1")), HttpLLMClient)
+
+
+def test_a_client_needs_an_endpoint():
+    assert LLMConfig().endpoint is None
+    LLMConfig().validate()  # an aligner without LLM calls runs with no endpoint
+    for build in (make_llm_client, HttpLLMClient):
+        with pytest.raises(ConfigError, match="rag.llm.endpoint.*--endpoint"):
+            build(LLMConfig())
 
 
 @pytest.mark.parametrize(
@@ -342,6 +352,10 @@ def test_factory_picks_client_by_endpoint_scheme():
         {"request_timeout": -1.0},
         {"request_timeout": math.nan},
         {"request_timeout": math.inf},
+        {"endpoint": "mock:?dim=x"},
+        {"endpoint": "mock:?dims=8"},
+        {"endpoint": "mock:?seed=1&seed=2"},
+        {"endpoint": "mock:dim=8"},
     ],
 )
 def test_llm_config_validation(kwargs):

@@ -141,7 +141,13 @@ def test_load_exemplars_roundtrip_and_errors(tmp_path):
 # -- exhaustive pairwise alignment ----------------------------------------------
 
 
-def test_pairwise_keeps_exactly_the_yes_pairs():
+def canned_server(server, canned, default):
+    """Answer each prompt with its text in ``canned``, else ``default``, without logprobs."""
+    server.app = lambda path, payload: (200, {"choices": [{"text": canned.get(payload["prompt"], default)}]})
+    return LLMConfig(endpoint=f"{server.url}/v1/completions")
+
+
+def test_pairwise_keeps_exactly_the_yes_pairs(http_server):
     src = make_corpus(["alloy", "quartz"])
     tgt = make_corpus(["metal alloy", "mineral"], prefix="http://example.org/b#")
     canned = {
@@ -150,25 +156,23 @@ def test_pairwise_keeps_exactly_the_yes_pairs():
         build_prompt("quartz", "metal alloy"): "No.",
         build_prompt("quartz", "mineral"): "No, broader.",
     }
-    client = MockLLMClient(canned=canned, default_completion="UNMATCHED")
-    out = align_llm_pairwise(src, tgt, LLMConfig(), client=client)
+    out = align_llm_pairwise(src, tgt, canned_server(http_server, canned, "UNMATCHED"))
     assert [(c.source, c.target, c.score) for c in out] == [
         (src.iris[0], tgt.iris[0], 1.0)
     ]
     assert out[0].provenance == "llm:pairwise"
-    assert client.call_count == 4
+    assert len(http_server.requests) == 4
 
 
-def test_pairwise_drops_answers_that_say_neither_yes_nor_no():
+def test_pairwise_drops_answers_that_say_neither_yes_nor_no(http_server):
     src = make_corpus(["alloy"])
     tgt = make_corpus(["metal alloy", "mineral"], prefix="http://example.org/b#")
     canned = {
         build_prompt("alloy", "metal alloy"): "Maybe.",
         build_prompt("alloy", "mineral"): "",
     }
-    client = MockLLMClient(canned=canned, default_completion="yes")
-    assert align_llm_pairwise(src, tgt, LLMConfig(), client=client) == []
-    assert client.call_count == 2
+    assert align_llm_pairwise(src, tgt, canned_server(http_server, canned, "yes")) == []
+    assert len(http_server.requests) == 2
 
 
 def test_pairwise_refuses_oversized_products_before_any_request():
@@ -183,7 +187,7 @@ def test_pairwise_refuses_oversized_products_before_any_request():
 def test_pairwise_batches_cover_all_pairs():
     src = make_corpus([f"s{i}" for i in range(3)])
     tgt = make_corpus([f"t{i}" for i in range(5)], prefix="http://example.org/b#")
-    client = MockLLMClient(default_completion="no")
+    client = MockLLMClient(rules={})
     align_llm_pairwise(src, tgt, LLMConfig(batch_size=4), client=client)
     assert client.call_count == 15
 
@@ -209,11 +213,19 @@ def test_distinct_labels_stay_below_the_default_threshold():
 
 def test_rag_identity_alignment_with_similarity_mock():
     source, target = rag_fixtures()
-    out = align_rag(source, target, RAGConfig())
+    out = align_rag(source, target, RAGConfig(llm=LLMConfig(endpoint="mock:")))
     assert [(c.source, c.target) for c in out] == [
         (source.concepts[i].iri, target.concepts[i].iri) for i in range(len(LABELS))
     ]
     assert all(c.score == 1.0 and c.provenance == "rag" for c in out)
+
+
+def test_a_rag_run_needs_an_endpoint_even_with_nothing_to_ask():
+    source = make_ontology(["alloy"], base="http://example.org/a#")
+    target = make_ontology(["quartz"], base="http://example.org/b#")
+    assert align_rag(source, target, RAGConfig(llm=LLMConfig(endpoint="mock:"))) == []
+    with pytest.raises(ConfigError, match="--endpoint"):
+        align_rag(source, target, RAGConfig())
 
 
 def test_rag_over_http_closes_the_connections_it_opened(keepalive_server):
@@ -285,8 +297,8 @@ def test_rag_orders_by_source_then_confidence_then_target():
 
 def test_fewshot_rag_same_pairs_different_provenance():
     source, target = rag_fixtures()
-    zero = align_rag(source, target, RAGConfig())
-    few = align_rag(source, target, RAGConfig(shots=2))
+    zero = align_rag(source, target, RAGConfig(llm=LLMConfig(endpoint="mock:")))
+    few = align_rag(source, target, RAGConfig(shots=2, llm=LLMConfig(endpoint="mock:")))
     assert [(c.source, c.target, c.score) for c in zero] == [
         (c.source, c.target, c.score) for c in few
     ]
@@ -371,14 +383,15 @@ def test_journal_resume_skips_already_decided_pairs(tmp_path):
     assert resumed_client.call_count == 3  # only the undecided pairs
     assert len(journal.read_text(encoding="utf-8").strip().splitlines()) == 5
 
-    clean = align_rag(source, target, RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9)))
+    clean_cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), llm=LLMConfig(endpoint="mock:"))
+    clean = align_rag(source, target, clean_cfg)
     assert resumed == clean
 
 
 def test_a_torn_last_journal_line_is_asked_again_once(tmp_path, caplog):
     journal = tmp_path / "run.jsonl"
     source, target = rag_fixtures()
-    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), llm=LLMConfig(endpoint="mock:"), journal_path=str(journal))
     align_rag(source, target, cfg)
     data = journal.read_bytes()
     journal.write_bytes(data[:data.rindex(b"\n", 0, -1) + 20])  # cut mid-way through the last line
@@ -396,7 +409,7 @@ def test_a_torn_last_journal_line_is_asked_again_once(tmp_path, caplog):
 def test_journal_entries_are_sorted_json_objects(tmp_path):
     journal = tmp_path / "run.jsonl"
     source, target = rag_fixtures()
-    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), llm=LLMConfig(endpoint="mock:"), journal_path=str(journal))
     align_rag(source, target, cfg)
     for line in journal.read_text(encoding="utf-8").strip().splitlines():
         entry = json.loads(line)

@@ -577,6 +577,9 @@ def test_retrieval_config_validation():
         RetrievalConfig(top_k=0).validate()
     with pytest.raises(ConfigError):
         RetrievalConfig(batch_size=0).validate()
+    for endpoint in ("mock:?dim=x", "mock:?dims=8", "mock:?dim=8&dim=9", "mock:dim=8", "mock:?dim="):
+        with pytest.raises(ConfigError, match=re.escape(repr(endpoint))):
+            RetrievalConfig(provider_endpoint=endpoint).validate()  # whatever the backend
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
