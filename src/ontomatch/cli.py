@@ -52,7 +52,7 @@ _ALIGN_FLAGS: tuple[tuple[str, type, str, tuple[str, ...]], ...] = (
     ("tr", float, "RAG retriever similarity threshold", ("rag.retrieval.threshold",)),
     ("tl", float, "RAG yes-confidence threshold", ("rag.llm_threshold",)),
     ("topk", int, "retrieval candidates per concept", ("retrieval.top_k", "rag.retrieval.top_k")),
-    ("ns", int, "few-shot examples per prompt", ("rag.shots",)),
+    ("ns", int, "few-shot examples per prompt (fewshot_rag only; default 2)", ("rag.shots",)),
     ("batch", int, "provider batch size", ("retrieval.batch_size", "rag.llm.batch_size")),
     ("endpoint", str, "provider URL, or 'mock:' for the offline mocks; llm and rag methods need one",
      ("retrieval.provider_endpoint", "rag.retrieval.provider_endpoint", "rag.llm.endpoint")),

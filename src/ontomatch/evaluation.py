@@ -14,7 +14,6 @@ no floating-point boundary case can flip the last digit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -96,13 +95,6 @@ class ComparisonTable:
                 f" {m.inter:>6d} {m.pred:>6d} {m.ref:>6d} {row.seconds:>8.1f}"
             )
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        payload = [
-            {"name": row.name, **row.metrics.to_dict(seconds=row.seconds)}
-            for row in self.rows
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def compare(runs: Sequence[tuple[str, Metrics, float]]) -> ComparisonTable:

@@ -56,9 +56,10 @@ class FuzzyConfig:
             raise ConfigError(f"fuzzy threshold must be in [0, 1], got {self.threshold}")
         if self.weights is not None:
             for token, weight in self.weights.items():
-                if not math.isfinite(weight) or weight <= 0:
+                number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
+                if not (number and math.isfinite(weight) and weight > 0):
                     raise ConfigError(
-                        f"fuzzy weight for {token!r} must be positive and finite, got {weight}"
+                        f"fuzzy weight for {token!r} must be a positive finite number, got {weight!r}"
                     )
 
 
@@ -264,19 +265,12 @@ def _scored_rows(
         yield np.array([score_pair(text, other) for other in targets], dtype=np.float64)
 
 
-def align_fuzzy(
-    source: EncodedCorpus,
-    target: EncodedCorpus,
-    cfg: FuzzyConfig,
-    *,
-    all_pairs: bool = False,
-) -> list[Correspondence]:
+def align_fuzzy(source: EncodedCorpus, target: EncodedCorpus, cfg: FuzzyConfig) -> list[Correspondence]:
     """Best-match fuzzy alignment between two encoded corpora.
 
     For each source concept the single best-scoring target is kept when its
     score reaches ``cfg.threshold``; score ties go to the ascending target
-    IRI.  With ``all_pairs=True`` every pair at or above the threshold is
-    emitted instead, in target input order.
+    IRI.
 
     Raises:
         ViewMismatch: corpora encoded under different views.
@@ -290,19 +284,14 @@ def align_fuzzy(
         raise EmptyCorpus("both corpora need at least one text")
 
     provenance = f"fuzzy:{cfg.method}"
-    # Best-match rows run in ascending-IRI order, so argmax (the first
-    # maximum) gives score ties to the smallest IRI.
-    order = range(len(target.iris))
-    if not all_pairs:
-        order = sorted(order, key=target.iris.__getitem__)
+    # Rows run in ascending-IRI order, so argmax (the first maximum) gives
+    # score ties to the smallest IRI.
+    order = sorted(range(len(target.iris)), key=target.iris.__getitem__)
     iris = [target.iris[j] for j in order]
     texts = [target.texts[j] for j in order]
     out: list[Correspondence] = []
     for src_iri, row in zip(source.iris, _scored_rows(source.texts, texts, cfg)):
-        if all_pairs:
-            picks = np.flatnonzero(row >= cfg.threshold)
-        else:
-            best = int(np.argmax(row))
-            picks = [best] if row[best] >= cfg.threshold else []
-        out.extend(Correspondence(src_iri, iris[j], "=", float(row[j]), provenance) for j in picks)
+        best = int(np.argmax(row))
+        if row[best] >= cfg.threshold:
+            out.append(Correspondence(src_iri, iris[best], "=", float(row[best]), provenance))
     return out

@@ -99,8 +99,10 @@ class Decision:
 class HttpLLMClient:
     """Client for a completions endpoint with bounded request concurrency.
 
-    The client owns one keep-alive pool of ``batch_size`` connections, shared
-    by its worker threads; :meth:`close` releases them.
+    For its whole life the client owns ``batch_size`` worker threads and one
+    keep-alive pool of as many connections, shared by those threads;
+    :meth:`close` stops the threads and releases the connections, after which
+    a batched call with any items raises ``RuntimeError``.
     """
 
     def __init__(self, cfg: LLMConfig):
@@ -109,17 +111,12 @@ class HttpLLMClient:
             raise ConfigError("no LLM endpoint: set rag.llm.endpoint or pass --endpoint (a URL, or mock:)")
         self.cfg = cfg
         self._pool = connection_pool(cfg.endpoint, maxsize=cfg.batch_size)
+        self._threads = ThreadPoolExecutor(max_workers=cfg.batch_size)
 
     def close(self) -> None:
-        """Close the pooled connections."""
+        """Stop the worker threads, then close the pooled connections."""
+        self._threads.shutdown(cancel_futures=True)
         self._pool.clear()
-
-    # -- single-request operations ------------------------------------
-
-    def complete(self, prompt: str) -> str:
-        """Generate a completion for one prompt."""
-        text, _ = self._request(prompt)
-        return text
 
     def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
         """Decide yes or no from first-token probabilities.
@@ -133,22 +130,13 @@ class HttpLLMClient:
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
 
-    # -- batched operations ---------------------------------------------
-
     def complete_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[str]:
         """Complete (prompt, meta) items' prompts, preserving input order."""
-        return self._pooled(lambda item: self.complete(item[0]), items)
+        return [text for text, _ in self._threads.map(self._request, [prompt for prompt, _ in items])]
 
     def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
         """Binary-decide (prompt, meta) items, preserving input order."""
-        return self._pooled(lambda item: self.binary_decision(*item), items)
-
-    def _pooled(self, fn, items: Sequence) -> list:
-        if not items:
-            return []
-        workers = min(self.cfg.batch_size, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        return list(self._threads.map(lambda item: self.binary_decision(*item), items))
 
     # -- internals -----------------------------------------------------
 

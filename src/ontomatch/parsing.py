@@ -382,7 +382,6 @@ class _TurtleReader:
         self.prefixes: dict[str, str] = {}
         self.base = ""
         self.triples: list[Triple] = []
-        self.blank_counter = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[tuple[str, str]]:

@@ -4,8 +4,9 @@
 :func:`run_pipeline` executes it and writes the alignment plus a run
 report (config echo, counts, metrics, per-stage seconds) next to the
 output file.  An LLM method needs an endpoint: a URL, or ``mock:`` for
-the offline stand-ins (``mock:?seed=N`` seeds them), with which a run is
-deterministic: repeated runs produce byte-identical alignment files.
+the offline stand-ins (``mock:?seed=N`` seeds the embedding one), with
+which a run is deterministic: repeated runs produce byte-identical
+alignment files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .encoding import EncodingView, encode
 from .errors import ConfigError
@@ -64,6 +65,10 @@ class PipelineConfig:
         EncodingView.parse(self.view)
         if self.pair_cap < 1:
             raise ConfigError(f"pair_cap must be positive, got {self.pair_cap}")
+        if self.method == "rag" and self.rag.shots:
+            raise ConfigError(f"method rag is zero-shot; for {self.rag.shots} shots use method fewshot_rag")
+        if self.method == "fewshot_rag" and self.rag.shots == 0:
+            raise ConfigError("method fewshot_rag needs at least 1 shot; for zero-shot use method rag")
         self.fuzzy.validate()
         self.retrieval.validate()
         self.rag.validate()
@@ -94,17 +99,20 @@ def _read_section(default, data: Any, where: str):
     """``default`` with the keys of the JSON object ``data`` applied.
 
     Fields whose default is a dataclass are read recursively; a null or
-    absent section keeps its default.  ``where`` is the dotted section
+    absent section keeps its default.  Every other value must have its
+    field's JSON type (:func:`_fits`).  ``where`` is the dotted section
     name ("" for the top level) used in error messages.
     """
     if data is None:
         return default
     if not isinstance(data, dict):
         raise ConfigError(f"config section {where!r} must be an object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(default)}
+    declared = {f.name: f.type for f in dataclasses.fields(default)}
+    unknown = set(data) - set(declared)
     if unknown:
         place = f"in section {where!r}" if where else "at the top level"
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} {place}")
+    hints = get_type_hints(type(default))
     values = {}
     for name, value in data.items():
         path = f"{where}.{name}" if where else name
@@ -113,8 +121,19 @@ def _read_section(default, data: Any, where: str):
             value = _read_section(current, value, path)
         elif path == "rag.exemplars":
             value = exemplars_from_json(value, path)
+        elif not _fits(value, hints[name]):
+            raise ConfigError(f"config key {path!r} must be {declared[name]}, got {json.dumps(value)}")
         values[name] = value
     return replace(default, **values)
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a decoded JSON value fits a field's type: null only where it
+    says ``| None``, an integer where it says float, any object where it
+    says ``dict[...]``, and never a bool for a number."""
+    members = get_args(hint) if type(None) in get_args(hint) else (hint,)
+    kinds = {get_origin(m) or m for m in members}
+    return type(value) in kinds or (type(value) is int and float in kinds)
 
 
 @dataclass(frozen=True)
@@ -179,6 +198,8 @@ def run_pipeline(
     Returns:
         The final correspondences and the run report.
     """
+    if cfg.method == "fewshot_rag" and cfg.rag.shots is None:
+        cfg = replace(cfg, rag=replace(cfg.rag, shots=_DEFAULT_FEWSHOT))
     cfg.validate()
     view = EncodingView.parse(cfg.view)
     clock = _StageClock()
@@ -208,9 +229,8 @@ def run_pipeline(
                 client=llm_client,
             )
         else:
-            shots = 0 if cfg.method == "rag" else (cfg.rag.shots or _DEFAULT_FEWSHOT)
             correspondences = align_rag(
-                source, target, replace(cfg.rag, shots=shots), view=view,
+                source, target, cfg.rag, view=view,
                 client=llm_client, provider=embedding_provider,
             )
 

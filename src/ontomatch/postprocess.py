@@ -48,10 +48,7 @@ def threshold_filter(correspondences: list[Correspondence], threshold: float) ->
     return [c for c in correspondences if c.score >= threshold]
 
 
-def cardinality_filter(
-    correspondences: list[Correspondence],
-    policy: str = "one_to_one_greedy",
-) -> list[Correspondence]:
+def cardinality_filter(correspondences: list[Correspondence], policy: str) -> list[Correspondence]:
     """Constrain how many times each concept may be mapped.
 
     ``many_to_many`` passes everything through.  ``one_to_one_greedy``

@@ -89,8 +89,9 @@ class RAGConfig:
         retrieval: shortlist settings (its threshold plays the T_r role).
         llm: endpoint settings for the generator.
         llm_threshold: minimum yes-confidence to keep a pair (T_l).
-        shots: worked examples per prompt (0 = plain zero-shot RAG).
-        exemplars: few-shot examples; ignored when shots == 0.
+        shots: worked examples per prompt; None or 0 is zero-shot RAG.
+            Method fewshot_rag needs at least 1 (2 when unset), rag none.
+        exemplars: few-shot examples; ignored when zero-shot.
         exemplars_path: optional JSON file overriding ``exemplars``.
         journal_path: optional JSON-lines checkpoint for resumable runs.
     """
@@ -98,7 +99,7 @@ class RAGConfig:
     retrieval: RetrievalConfig = field(default_factory=lambda: RetrievalConfig(top_k=5))
     llm: LLMConfig = field(default_factory=LLMConfig)
     llm_threshold: float = 0.5
-    shots: int = 0
+    shots: int | None = None
     exemplars: tuple[Exemplar, ...] = DEFAULT_EXEMPLARS
     exemplars_path: str | None = None
     template: PromptTemplate = field(default_factory=PromptTemplate)
@@ -110,7 +111,7 @@ class RAGConfig:
         self.template.validate()
         if not 0.0 <= self.llm_threshold <= 1.0:
             raise ConfigError(f"llm_threshold must be in [0, 1], got {self.llm_threshold}")
-        if self.shots < 0:
+        if self.shots is not None and self.shots < 0:
             raise ConfigError(f"shots must be >= 0, got {self.shots}")
         for exemplar in self.exemplars:
             exemplar.validate()

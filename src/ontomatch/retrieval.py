@@ -209,25 +209,25 @@ class HttpEmbeddingProvider:
     releases it.
     """
 
-    def __init__(self, endpoint: str, model: str | None = None,
-                 batch_size: int = 32, timeout: float = 30.0):
-        self.endpoint = endpoint
-        self.model = model or "default"
-        self.batch_size = max(1, batch_size)
-        self.timeout = timeout
-        self._pool = connection_pool(endpoint)
+    def __init__(self, cfg: RetrievalConfig):
+        cfg.validate()
+        if not cfg.provider_endpoint:
+            raise ConfigError("embedding backend needs provider_endpoint")
+        self.cfg = cfg
+        self._pool = connection_pool(cfg.provider_endpoint)
 
     def close(self) -> None:
         """Close the pooled connection."""
         self._pool.clear()
 
     def embed(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
+        cfg = self.cfg
         chunks: list[np.ndarray] = []
         dim: int | None = None
-        for start in range(0, len(texts), self.batch_size):
-            batch = list(texts[start:start + self.batch_size])
-            payload = {"input": batch, "model": self.model}
-            body = post_json(self.endpoint, payload, pool=self._pool, timeout=self.timeout)
+        for start in range(0, len(texts), cfg.batch_size):
+            batch = list(texts[start:start + cfg.batch_size])
+            payload = {"input": batch, "model": cfg.model or "default"}
+            body = post_json(cfg.provider_endpoint, payload, pool=self._pool, timeout=cfg.timeout)
             rows = self._unpack(body, len(batch))
             if dim is None:
                 dim = rows.shape[1]
@@ -271,14 +271,12 @@ class HttpEmbeddingProvider:
 
 
 def make_embedding_provider(cfg: RetrievalConfig):
-    """Build the provider named by ``cfg.provider_endpoint``."""
-    endpoint = cfg.provider_endpoint
-    if not endpoint:
-        raise ConfigError("embedding backend needs provider_endpoint")
-    query = mock_query(endpoint)
+    """Build the provider named by ``cfg.provider_endpoint``: a URL, or "mock:"."""
+    cfg.validate()
+    query = mock_query(cfg.provider_endpoint)
     if query is not None:
         return MockEmbeddingProvider(**query)
-    return HttpEmbeddingProvider(endpoint, cfg.model, cfg.batch_size, cfg.timeout)
+    return HttpEmbeddingProvider(cfg)
 
 
 # --------------------------------------------------------------------------

@@ -23,22 +23,25 @@ HEADER = (
     '    xmlns:obo="http://www.geneontology.org/formats/oboInOwl#">\n'
 )
 
+_CR = {"\r": "&#13;"}
+
 
 def write_rdfxml(path: Path, concepts: list[dict]) -> Path:
     """Write a small OWL/RDF-XML document from concept dicts.
 
     Each dict takes ``iri`` plus optional ``labels``, ``synonyms``,
-    ``comment`` and ``parents`` keys.
+    ``comment`` and ``parents`` keys.  A carriage return in a text is
+    written ``&#13;``, as ``export`` does, so it reads back unchanged.
     """
     parts = [HEADER]
     for concept in concepts:
         parts.append(f"  <owl:Class rdf:about={quoteattr(concept['iri'])}>\n")
         for label in concept.get("labels", ()):
-            parts.append(f"    <rdfs:label>{escape(label)}</rdfs:label>\n")
+            parts.append(f"    <rdfs:label>{escape(label, _CR)}</rdfs:label>\n")
         for synonym in concept.get("synonyms", ()):
-            parts.append(f"    <skos:altLabel>{escape(synonym)}</skos:altLabel>\n")
+            parts.append(f"    <skos:altLabel>{escape(synonym, _CR)}</skos:altLabel>\n")
         if concept.get("comment"):
-            parts.append(f"    <rdfs:comment>{escape(concept['comment'])}</rdfs:comment>\n")
+            parts.append(f"    <rdfs:comment>{escape(concept['comment'], _CR)}</rdfs:comment>\n")
         for parent in concept.get("parents", ()):
             parts.append(f"    <rdfs:subClassOf rdf:resource={quoteattr(parent)}/>\n")
         parts.append("  </owl:Class>\n")

@@ -327,6 +327,43 @@ def test_a_bad_mock_query_exits_1_for_every_method(corpus, tmp_path, capsys, met
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, needle", [
+    ({"fuzzy": {"threshold": "0.5"}}, "'fuzzy.threshold' must be float, got \"0.5\""),
+    ({"pair_cap": "9"}, "'pair_cap' must be int"),
+    ({"postprocess": {"threshold": "x"}}, "'postprocess.threshold' must be float | None"),
+    ({"method": "llm", "rag": {"llm": {"batch_size": 2.5}}}, "'rag.llm.batch_size' must be int, got 2.5"),
+    ({"method": "fewshot_rag", "rag": {"shots": 1.5}}, "'rag.shots' must be int | None"),
+    ({"method": "retrieval", "retrieval": {"top_k": True}}, "'retrieval.top_k' must be int, got true"),
+    ({"fuzzy": {"method": "weighted", "weights": {"alloy": "x"}}}, "fuzzy weight for 'alloy'"),
+], ids=["float-as-text", "int-as-text", "optional-float-as-text", "int-as-float", "shots-as-float",
+        "int-as-bool", "weight-as-text"])
+def test_a_config_value_of_the_wrong_json_type_exits_1(corpus, tmp_path, capsys, config, needle):
+    source, target, _ = corpus
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "a.xml"
+    code = main([
+        "align", "--config", str(path), "--source", str(source), "--target", str(target),
+        "--endpoint", "mock:", "--out", str(out),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", needle)
+    assert not out.exists()
+
+
+def test_fewshot_rag_reports_the_two_shots_it_runs_by_default(corpus, tmp_path, capsys):
+    source, target, _ = corpus
+    out = tmp_path / "a.json"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--method", "fewshot_rag",
+        "--endpoint", "mock:", "--tr", "0.4", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "a.json.report.json").read_text(encoding="utf-8"))
+    assert report["config"]["rag"]["shots"] == 2
+    assert {c.provenance for c in load_json_alignment(out)} == {"rag:fewshot"}
+
+
 def test_mock_llm_run_keeps_the_label_similar_pairs(corpus, tmp_path, capsys):
     source, target, reference = corpus
     out = tmp_path / "a.json"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -158,14 +157,6 @@ def test_comparison_text_table_layout():
     assert lines[0].split() == ["system", "P", "R", "F1", "inter", "pred", "ref", "time"]
     assert set(lines[1]) == {"-"}
     assert lines[2].split() == ["fuzzy-baseline", "50.0", "50.0", "50.0", "1", "2", "2", "0.4"]
-
-
-def test_comparison_json_is_parseable_and_sorted():
-    strong = evaluate(*synthetic_sets(9, 10, 10))
-    weak = evaluate(*synthetic_sets(5, 10, 10))
-    payload = json.loads(compare([("b", weak, 1.0), ("a", strong, 2.0)]).to_json())
-    assert [row["name"] for row in payload] == ["a", "b"]
-    assert payload[0]["f1"] == 90.0 and payload[0]["seconds"] == 2.0
 
 
 def test_metrics_value_object_equality():

@@ -238,15 +238,6 @@ def test_threshold_monotonicity():
     assert tight <= loose
 
 
-def test_all_pairs_mode_emits_every_passing_pair():
-    src = make_corpus(["alloy", "steel"])
-    tgt = make_corpus(["alloy", "alloy steel"], prefix="http://example.org/b#")
-    out = align_fuzzy(src, tgt, FuzzyConfig(threshold=0.0), all_pairs=True)
-    assert len(out) == 4
-    out_high = align_fuzzy(src, tgt, FuzzyConfig(threshold=0.99), all_pairs=True)
-    assert {(c.source, c.target) for c in out_high} == {(src.iris[0], tgt.iris[0])}
-
-
 def test_view_mismatch_rejected():
     src = make_corpus(["alloy"], view=EncodingView.C)
     tgt = make_corpus(["alloy"], view=EncodingView.CC, prefix="http://example.org/b#")
@@ -293,11 +284,7 @@ def test_simple_matches_oracle_across_lane_width(monkeypatch, block):
         src_pairs, tgt_pairs, 0.0
     )
 
-    out = align_fuzzy(src, tgt, FuzzyConfig(threshold=0.35), all_pairs=True)
-    expected = []
-    for src_iri, src_text in src_pairs:
-        for tgt_iri, tgt_text in tgt_pairs:
-            score = ratio_dp(src_text, tgt_text)
-            if score >= 0.35:
-                expected.append((src_iri, tgt_iri, score))
-    assert [(c.source, c.target, c.score) for c in out] == expected
+    rows = fuzzy._scored_rows(src.texts, list(tgt.texts), FuzzyConfig())
+    assert [row.tolist() for row in rows] == [
+        [ratio_dp(src_text, tgt_text) for tgt_text in tgt.texts] for src_text in src.texts
+    ]

@@ -1,8 +1,10 @@
 """Every shipped align config, run offline, writes a pinned alignment file.
 
 Each ``configs/*.json`` align config runs through the CLI with ``--endpoint
-mock:`` on one small fixed pair, and the SHA-256 of its output must equal
-the pin in ``golden.json``.  The pair is built here, not by the benchmark's
+mock:`` on one small fixed pair, once writing XML and once JSON, and the
+SHA-256 of each output must equal its pin in ``golden.json``.  The JSON
+format carries each cell's provenance, so it tells apart configs whose XML
+is the same, such as ``rag`` and ``fewshot_rag``.  The pair is built here, not by the benchmark's
 generator, so a benchmark change cannot move the pins; the paths are
 relative, so the XML headers name no temporary directory.  A change that
 moves a pin changes what a run writes: say why, then update ``golden.json``.
@@ -35,14 +37,16 @@ def test_every_shipped_config_writes_its_pinned_alignment(tmp_path, monkeypatch,
     ontology_from_labels(Path("tgt.owl"), TARGET_LABELS, "http://example.org/b#", HIERARCHY)
     got = {}
     for config in sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("exemplars")):
-        out = Path(config.stem + ".xml")
-        code = main([
-            "align", "--config", str(config), "--source", "src.owl", "--target", "tgt.owl",
-            "--endpoint", "mock:", "--out", str(out),
-        ])
-        assert code == 0, capsys.readouterr().err
+        outs = [Path(config.stem + suffix) for suffix in (".xml", ".json")]
+        for out in outs:
+            code = main([
+                "align", "--config", str(config), "--source", "src.owl", "--target", "tgt.owl",
+                "--endpoint", "mock:", "--out", str(out),
+            ])
+            assert code == 0, capsys.readouterr().err
         got[config.name] = {
-            "cells": len(parse_reference_alignment(out).cells),
-            "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "cells": len(parse_reference_alignment(outs[0]).cells),
+            "sha256": hashlib.sha256(outs[0].read_bytes()).hexdigest(),
+            "json_sha256": hashlib.sha256(outs[1].read_bytes()).hexdigest(),
         }
     assert got == json.loads(PINS.read_text(encoding="utf-8"))

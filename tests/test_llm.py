@@ -167,7 +167,7 @@ def test_read_answer_is_total_over_arbitrary_text():
 def test_complete_returns_choice_text_and_sends_settings(http_server):
     http_server.app = completion_app("generated words")
     client = client_for(http_server, model_id="m-7", max_new_tokens=4, temperature=0.5)
-    assert client.complete("the prompt") == "generated words"
+    assert client.complete_many([("the prompt", None)])[0] == "generated words"
     payload = http_server.requests[0]["payload"]
     assert payload == {
         "model": "m-7",
@@ -193,20 +193,20 @@ def test_completion_text_that_is_not_a_string_is_a_provider_error(http_server, t
     with pytest.raises(ProviderError, match="not a string"):
         client.binary_decision("prompt")
     with pytest.raises(ProviderError, match="not a string"):
-        client.complete("prompt")
+        client.complete_many([("prompt", None)])[0]
 
 
 def test_malformed_logprobs_fall_back_to_text(http_server):
     http_server.app = lambda path, payload: (200, {"choices": [{"text": "yes", "logprobs": [0.5]}]})
     client = client_for(http_server)
-    assert client.complete("prompt") == "yes"
+    assert client.complete_many([("prompt", None)])[0] == "yes"
     assert client.binary_decision("prompt") == Decision(label="yes", confidence=0.5, fallback=True)
 
 
 def test_missing_choices_is_a_provider_error(http_server):
     http_server.app = lambda path, payload: (200, {"choices": []})
     with pytest.raises(ProviderError):
-        client_for(http_server).complete("prompt")
+        client_for(http_server).complete_many([("prompt", None)])[0]
 
 
 def test_http_error_carries_body_excerpt(http_server):
@@ -231,7 +231,7 @@ def test_unreachable_endpoint_raises_after_retries(monkeypatch):
     )
     client = HttpLLMClient(LLMConfig(endpoint="http://127.0.0.1:1/v1"))
     with pytest.raises(EndpointUnreachable):
-        client.complete("prompt")
+        client.complete_many([("prompt", None)])[0]
     assert calls["n"] == 3
 
 
@@ -273,6 +273,26 @@ def test_client_reuses_at_most_batch_size_connections(keepalive_server):
     client.close()
     assert len(keepalive_server.requests) == 12
     assert 1 <= keepalive_server.connections <= 3
+
+
+def test_client_builds_one_thread_pool_for_its_life(http_server, monkeypatch):
+    built = []
+
+    class CountingPool(llm_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(llm_module, "ThreadPoolExecutor", CountingPool)
+    http_server.app = completion_app("yes", {" yes": math.log(0.9)})
+    client = client_for(http_server, batch_size=2)
+    for call in range(2):
+        assert [d.label for d in client.decide_many([(f"p{call}.{i}", None) for i in range(3)])] == ["yes"] * 3
+    assert client.complete_many([("p", None)]) == ["yes"]
+    assert built == [2]
+    client.close()
+    with pytest.raises(RuntimeError):
+        client.decide_many([("p", None)])
 
 
 # -- the offline mock ---------------------------------------------------------

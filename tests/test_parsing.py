@@ -472,6 +472,61 @@ def test_turtle_escaped_literals_read_back_as_written(tmp_path, case):
     assert parse_ontology(path).concepts[0].label == text.strip()
 
 
+_TTL_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+# Characters both syntaxes can hold: no control character but tab, line
+# feed and carriage return, no surrogate and no noncharacter (XML has none).
+_TEXT = st.text(
+    st.sampled_from('"\'\\&<>\t\n\r é中😀') | st.characters(exclude_categories=("Cc", "Cs", "Cn")),
+    max_size=12,
+)
+
+
+@st.composite
+def _concept_dicts(draw):
+    """1 to 8 classes, as :func:`write_rdfxml` takes them."""
+    n = draw(st.integers(1, 8))
+    return [
+        {
+            "iri": f"{BASE}C{i}",
+            "labels": draw(st.lists(_TEXT, max_size=2)),
+            "synonyms": draw(st.lists(_TEXT, max_size=2)),
+            "comment": draw(st.none() | _TEXT),
+            "parents": [f"{BASE}C{j}" for j in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))],
+        }
+        for i in range(n)
+    ]
+
+
+def _write_turtle(path, concepts):
+    def literal(text):
+        return '"' + "".join(_TTL_ESCAPES.get(ch, ch) for ch in text) + '"'
+
+    parts = [
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n",
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n",
+        "@prefix skos: <http://www.w3.org/2004/02/skos/core#> .\n",
+    ]
+    for concept in concepts:
+        statements = ["a owl:Class"]
+        statements += [f"rdfs:label {literal(label)}" for label in concept["labels"]]
+        statements += [f"skos:altLabel {literal(synonym)}" for synonym in concept["synonyms"]]
+        if concept["comment"]:
+            statements.append(f"rdfs:comment {literal(concept['comment'])}")
+        statements += [f"rdfs:subClassOf <{parent}>" for parent in concept["parents"]]
+        parts.append(f"<{concept['iri']}> " + " ;\n    ".join(statements) + " .\n")
+    path.write_text("".join(parts), encoding="utf-8")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_concept_dicts())
+def test_rdfxml_and_turtle_of_one_ontology_parse_to_equal_concepts(tmp_path, concepts):
+    xml_path = write_rdfxml(tmp_path / "onto.owl", concepts)
+    ttl_path = tmp_path / "onto.ttl"
+    _write_turtle(ttl_path, concepts)
+    assert parse_ontology(ttl_path).concepts == parse_ontology(xml_path).concepts
+
+
 def test_repeated_subclass_statement_lists_parent_and_child_once(tmp_path):
     path = tmp_path / "repeated.ttl"
     path.write_text(

@@ -209,18 +209,28 @@ def test_llm_run_maps_completions_to_decisions(tmp_path):
     assert report.seconds["encode"] > -1  # encode stage actually timed
 
 
-def test_rag_method_forces_zero_shots(corpus_paths, tmp_path):
+def test_rag_method_runs_zero_shot(corpus_paths, tmp_path):
     client = RecordingClient()
     cfg = base_config(
         corpus_paths, tmp_path,
         method="rag",
-        rag=RAGConfig(shots=1, retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
+        rag=RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
     )
     _, report = run_pipeline(cfg, llm_client=client)
     assert client.items and all(
         prompt.count("### Answer:") == 1 for prompt, _ in client.items
     )
     assert report.seconds["encode"] == 0.0
+    assert report.config["rag"]["shots"] is None
+
+
+@pytest.mark.parametrize("method, shots, other", [("rag", 1, "fewshot_rag"), ("fewshot_rag", 0, "use method rag")])
+def test_shots_that_contradict_the_method_are_rejected(corpus_paths, tmp_path, method, shots, other):
+    client = RecordingClient()
+    cfg = base_config(corpus_paths, tmp_path, method=method, rag=RAGConfig(shots=shots))
+    with pytest.raises(ConfigError, match=other):
+        run_pipeline(cfg, llm_client=client)
+    assert client.items == []
 
 
 def test_fewshot_rag_defaults_to_two_shots(corpus_paths, tmp_path):

@@ -143,6 +143,13 @@ def test_make_provider_requires_endpoint():
             make_embedding_provider(RetrievalConfig(backend="embedding", provider_endpoint=endpoint))
 
 
+def test_http_provider_is_built_from_its_config_section():
+    with pytest.raises(ConfigError, match="needs provider_endpoint"):
+        HttpEmbeddingProvider(RetrievalConfig())
+    with pytest.raises(ConfigError, match="batch_size"):
+        HttpEmbeddingProvider(RetrievalConfig(provider_endpoint="http://h/v1", batch_size=0))
+
+
 def test_embed_helper_with_mock_endpoint():
     provider = make_embedding_provider(RetrievalConfig(backend="embedding", provider_endpoint="mock:?dim=8"))
     matrix = VectorMatrix(values=provider.embed(["alloy", "steel", "iron"]))
@@ -163,9 +170,13 @@ def _embedding_app(dim=4, reorder=False):
     return app
 
 
+def provider_for(server, **overrides) -> HttpEmbeddingProvider:
+    return HttpEmbeddingProvider(RetrievalConfig(backend="embedding", provider_endpoint=server.url, **overrides))
+
+
 def test_http_provider_batches_and_reassembles(http_server):
     http_server.app = _embedding_app(reorder=True)
-    provider = HttpEmbeddingProvider(http_server.url, model="embedder", batch_size=2)
+    provider = provider_for(http_server, model="embedder", batch_size=2)
     rows = provider.embed(["a", "bb", "ccc", "dddd", "eeeee"])
     assert rows.shape == (5, 4)
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-9)
@@ -180,7 +191,7 @@ def test_http_provider_batches_and_reassembles(http_server):
 
 def test_http_provider_keeps_one_connection_across_batches(keepalive_server):
     keepalive_server.app = _embedding_app()
-    provider = HttpEmbeddingProvider(keepalive_server.url, batch_size=2)
+    provider = provider_for(keepalive_server, batch_size=2)
     assert provider.embed(["a", "bb", "ccc", "dddd", "eeeee"]).shape == (5, 4)
     provider.close()
     assert len(keepalive_server.requests) == 3
@@ -195,7 +206,7 @@ def test_http_provider_rejects_mixed_widths(http_server):
         return 200, {"data": data}
 
     http_server.app = app
-    provider = HttpEmbeddingProvider(http_server.url)
+    provider = provider_for(http_server)
     with pytest.raises(DimensionMismatch):
         provider.embed(["a", "b"])
 
@@ -205,7 +216,7 @@ def test_http_provider_rejects_gapped_indexes(http_server):
         200,
         {"data": [{"index": 0, "embedding": [1.0, 0.0]}] * len(payload["input"])},
     )
-    provider = HttpEmbeddingProvider(http_server.url)
+    provider = provider_for(http_server)
     with pytest.raises(ProviderError):
         provider.embed(["a", "b"])
 
@@ -231,7 +242,7 @@ def test_http_provider_rejects_bad_items(http_server, items):
     # NaN and Infinity arrive the way Python's json parses them
     http_server.app = lambda path, payload: (200, {"data": items})
     with pytest.raises(ProviderError):
-        HttpEmbeddingProvider(http_server.url).embed(["a", "b"])
+        provider_for(http_server).embed(["a", "b"])
 
 
 def test_http_provider_surfaces_status_errors(http_server, monkeypatch):
@@ -239,7 +250,7 @@ def test_http_provider_surfaces_status_errors(http_server, monkeypatch):
         retrieval, "post_json", functools.partial(transport.post_json, sleep=lambda _: None),
     )
     http_server.app = lambda path, payload: (503, {"error": "overloaded"})
-    provider = HttpEmbeddingProvider(http_server.url)
+    provider = provider_for(http_server)
     with pytest.raises(ProviderError) as excinfo:
         provider.embed(["a"])
     assert excinfo.value.status == 503
