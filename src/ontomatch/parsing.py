@@ -9,6 +9,11 @@ Two input families are handled:
 * Alignments, as OAEI alignment-cell XML or the JSON that ``export``
   writes, both read into an ``AlignmentDocument`` of ``Correspondence`` cells.
 
+Both XML kinds stream through one expat reader (:func:`_read_xml`) fed from
+the file's bytes, so a declared encoding is honoured and no element tree is
+built: the RDF/XML reader emits triples from start, end and text events,
+and the alignment reader builds each cell when its element ends.
+
 A file's suffix names its format: :func:`detect_format` for ontologies,
 :func:`is_json_alignment` for alignments, read here or written by ``export``.
 
@@ -21,10 +26,10 @@ from __future__ import annotations
 
 import json
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urljoin
+from xml.parsers import expat
 
 from .errors import MalformedDocument, MissingEntity, UnsupportedFormat
 from .mapping import AlignmentDocument, Correspondence
@@ -35,11 +40,19 @@ OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 OBO_NS = "http://www.geneontology.org/formats/oboInOwl#"
-XML_BASE = "{http://www.w3.org/XML/1998/namespace}base"
+XML_NS = "http://www.w3.org/XML/1998/namespace"
+XML_BASE = XML_NS + "base"
 
 ALIGNMENT_NS = "http://knowledgeweb.semanticweb.org/heterogeneity/alignment#"
 
 _RDF_TYPE = RDF_NS + "type"
+_RDF_RDF = RDF_NS + "RDF"
+_RDF_DESCRIPTION = RDF_NS + "Description"
+_RDF_ABOUT = RDF_NS + "about"
+_RDF_ID = RDF_NS + "ID"
+_RDF_RESOURCE = RDF_NS + "resource"
+# Attributes of these namespaces are syntax, not property attributes.
+_SYNTAX_NS = (RDF_NS, XML_NS)
 _SUBCLASS = RDFS_NS + "subClassOf"
 _LABEL = RDFS_NS + "label"
 _COMMENT = RDFS_NS + "comment"
@@ -126,7 +139,7 @@ def parse_ontology(path: str | Path) -> Ontology:
     """
     fmt = detect_format(path)
     if fmt == "rdf-xml":
-        triples = _triples_from_rdfxml(_xml_root(path, "RDF/XML"))
+        triples = _triples_from_rdfxml(path)
     else:
         triples = _triples_from_turtle(_read_utf8(path, "Turtle document"))
     concepts = _build_concepts(triples)
@@ -146,7 +159,7 @@ def _read_utf8(path: str | Path, what: str) -> str:
 # --------------------------------------------------------------------------
 
 # A triple is (subject, predicate, object, object_is_literal).  Subjects are
-# always IRIs; blank-node subjects are dropped by the serializer walkers.
+# always IRIs; blank-node subjects are dropped by the serialization readers.
 Triple = tuple[str, str, str, bool]
 
 
@@ -230,25 +243,33 @@ def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
 # --------------------------------------------------------------------------
 
 
-def _xml_root(path: str | Path, what: str) -> ET.Element:
-    """Parse an XML file from its bytes, so that expat honours the declared encoding."""
+def _read_xml(path: str | Path, what: str, namespace_separator: str, start, end, text) -> None:
+    """Stream an XML file's bytes through expat, so that it honours the declared
+    encoding, calling ``start(name, attributes)``, ``end(name)`` and ``text(data)``.
+
+    Names are ``namespace + namespace_separator + local name``.  An entity
+    that expat would skip, because only an external DTD could declare it,
+    is an error, as an undeclared one is.
+    """
+    parser = expat.ParserCreate(namespace_separator=namespace_separator)
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+
+    def skipped(name: str, is_parameter_entity: bool) -> None:
+        if not is_parameter_entity:
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            raise MalformedDocument(f"invalid {what}: undefined entity &{name};", line, column)
+
+    parser.SkippedEntityHandler = skipped
     try:
-        return ET.fromstring(Path(path).read_bytes())
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise MalformedDocument(f"invalid {what}: {exc.msg.split(':')[0]}", line, column) from exc
-
-
-def _triples_from_rdfxml(root: ET.Element) -> list[Triple]:
-    base = root.get(XML_BASE, "")
-    triples: list[Triple] = []
-    if _tag_iri(root.tag) == RDF_NS + "RDF":
-        nodes = list(root)
-    else:
-        nodes = [root]
-    for node in nodes:
-        _walk_node(node, base, triples)
-    return triples
+        with open(path, "rb") as stream:
+            parser.ParseFile(stream)
+    except expat.ExpatError as exc:
+        raise MalformedDocument(f"invalid {what}: {expat.errors.messages[exc.code]}", exc.lineno, exc.offset) from exc
+    finally:
+        parser.SkippedEntityHandler = None  # it refers back to the parser
 
 
 def _resolve(base: str, ref: str) -> str:
@@ -257,58 +278,81 @@ def _resolve(base: str, ref: str) -> str:
     return urljoin(base, ref)
 
 
-def _element_iri(elem: ET.Element, base: str) -> str | None:
-    about = elem.get("{%s}about" % RDF_NS)
+def _node_iri(attributes: dict[str, str], base: str) -> str | None:
+    about = attributes.get(_RDF_ABOUT)
     if about is not None:
         return _resolve(base, about)
-    node_id = elem.get("{%s}ID" % RDF_NS)
+    node_id = attributes.get(_RDF_ID)
     if node_id is not None:
         return _resolve(base, "#" + node_id)
     return None
 
 
-def _tag_iri(tag: str) -> str:
-    if tag.startswith("{"):
-        ns, local = tag[1:].split("}", 1)
-        return ns + local
-    return tag
+def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
+    """The triples of an RDF/XML file in document order, read from expat events.
 
+    Node and property elements alternate, so the open elements form a stack
+    with a property at every even index: the document element ``rdf:RDF``
+    counts as a property with no subject, and any other document element is
+    a node under such a property.  A frame is ``(subject, predicate, base,
+    literal)``; ``literal`` marks a property with a subject and no resource,
+    whose text is its object if it turns out to have no child element.
+    """
+    triples: list[Triple] = []
+    emit = triples.append
+    stack: list[tuple] = []
+    chars: list[str] = []
+    opened = False  # whether the last tag was a start tag
 
-def _walk_node(elem: ET.Element, base: str, triples: list[Triple]) -> None:
-    """Record triples for one node element, recursing into nested nodes."""
-    base = elem.get(XML_BASE, base)
-    iri = _element_iri(elem, base)
-    tag = _tag_iri(elem.tag)
-    if iri is not None and tag != RDF_NS + "Description":
-        triples.append((iri, _RDF_TYPE, tag, False))
-    if iri is not None:
-        # Property-attribute shorthand, e.g. <owl:Class rdf:about=".." rdfs:label="..">.
-        for attr, value in elem.attrib.items():
-            attr_iri = _tag_iri(attr)
-            if attr_iri.startswith((RDF_NS, "http://www.w3.org/XML/1998/namespace")):
-                continue
-            triples.append((iri, attr_iri, value, True))
-    for prop in elem:
-        _walk_property(iri, prop, base, triples)
+    def start(name: str, attributes: dict[str, str]) -> None:
+        nonlocal opened
+        opened = True
+        chars.clear()
+        if not stack:
+            if name == _RDF_RDF:
+                stack.append((None, None, attributes.get(XML_BASE, ""), False))
+                return
+            stack.append((None, None, "", False))
+        if len(stack) % 2:
+            # A node element, the object of the property on top.
+            subject, predicate, outer, _ = stack[-1]
+            base = attributes.get(XML_BASE, outer)
+            iri = _node_iri(attributes, base)
+            if subject is not None:
+                # The object is resolved against the property's base, not the node's.
+                obj = _node_iri(attributes, outer) if XML_BASE in attributes else iri
+                if obj is not None:
+                    emit((subject, predicate, obj, False))
+            if iri is not None:
+                if name != _RDF_DESCRIPTION:
+                    emit((iri, _RDF_TYPE, name, False))
+                # Property-attribute shorthand, e.g. <owl:Class rdf:about=".." rdfs:label="..">.
+                for attr, value in attributes.items():
+                    if attr == _RDF_TYPE:
+                        emit((iri, _RDF_TYPE, _resolve(base, value), False))
+                    elif not attr.startswith(_SYNTAX_NS):
+                        emit((iri, attr, value, True))
+            stack.append((iri, None, base, False))
+        else:
+            # A property element of the node on top.
+            subject, _, outer, _ = stack[-1]
+            base = attributes.get(XML_BASE, outer)
+            resource = attributes.get(_RDF_RESOURCE)
+            if resource is not None and subject is not None:
+                emit((subject, name, _resolve(base, resource), False))
+            stack.append((subject, name, base, resource is None and subject is not None))
 
+    def end(name: str) -> None:
+        nonlocal opened
+        subject, predicate, _, literal = stack.pop()
+        if literal and opened:
+            value = "".join(chars).strip()
+            if value:
+                emit((subject, predicate, value, True))
+        opened = False
 
-def _walk_property(subject: str | None, prop: ET.Element, base: str, triples: list[Triple]) -> None:
-    base = prop.get(XML_BASE, base)
-    predicate = _tag_iri(prop.tag)
-    resource = prop.get("{%s}resource" % RDF_NS)
-    if resource is not None and subject is not None:
-        triples.append((subject, predicate, _resolve(base, resource), False))
-    nested = list(prop)
-    if nested:
-        for child in nested:
-            child_iri = _element_iri(child, base)
-            if subject is not None and child_iri is not None:
-                triples.append((subject, predicate, child_iri, False))
-            _walk_node(child, base, triples)
-    elif resource is None:
-        text = (prop.text or "").strip()
-        if subject is not None and text:
-            triples.append((subject, predicate, text, True))
+    _read_xml(path, "RDF/XML", "", start, end, chars.append)
+    return triples
 
 
 # --------------------------------------------------------------------------
@@ -562,21 +606,8 @@ def _triples_from_turtle(text: str) -> list[Triple]:
 
 # Leaf header elements kept as the AlignmentDocument fields of the same name.
 _ALIGNMENT_HEADERS = ("onto1", "onto2", "level", "type")
-
-
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1] if "}" in tag else tag
-
-
-def _cell_entity(cell: ET.Element, name: str, index: int) -> str:
-    for child in cell:
-        if _local_name(child.tag) != name:
-            continue
-        for attr, value in child.attrib.items():
-            if _local_name(attr) == "resource" and value:
-                return value
-        raise MissingEntity(f"cell {index}: <{name}> has no resource reference")
-    raise MissingEntity(f"cell {index}: missing <{name}>")
+# Elements whose text (before their first child) the alignment reader keeps.
+_ALIGNMENT_TEXTS = frozenset(_ALIGNMENT_HEADERS + ("relation", "measure"))
 
 
 def is_json_alignment(path: str | Path) -> bool:
@@ -633,32 +664,81 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
     """
     if is_json_alignment(path):
         return AlignmentDocument.from_correspondences(load_json_alignment(path))
-    root = _xml_root(path, "alignment XML")
-    headers = {}
-    for elem in root.iter():
-        name = _local_name(elem.tag)
-        if name in _ALIGNMENT_HEADERS and not list(elem):
-            headers[name] = (elem.text or "").strip()
+    return _alignment_from_xml(path)
 
-    cells: list[Correspondence] = []
+
+def _alignment_from_xml(path: str | Path) -> AlignmentDocument:
+    """The cells and headers of an alignment XML file, read from expat events.
+
+    Elements match by local name in any namespace.  Each ``Cell`` takes a
+    slot in document order when it starts, and its correspondence or its
+    error fills the slot when it ends.  Errors are raised once the whole
+    file has been read, so a malformed document is reported as such first.
+    """
+    headers: dict[str, str] = {}
+    slots: list[Correspondence | Exception | None] = []
+    # Per open element: [local name, its text before its first child once it has one].
+    elements: list[list] = []
+    # Per open Cell: [index, depth, entity1, entity2, relation, measure, error];
+    # an entity is None until its element is seen, then its resource or "".
+    cells: list[list] = []
+    chars: list[str] = []
+    opened = False  # whether the last tag was a start tag
+
+    def start(name: str, attributes: dict[str, str]) -> None:
+        nonlocal opened
+        local = name.rpartition("}")[2]
+        depth = len(elements)
+        if opened and elements[-1][0] in _ALIGNMENT_TEXTS:
+            elements[-1][1] = "".join(chars)
+        chars.clear()
+        opened = True
+        if local in ("entity1", "entity2") and cells and cells[-1][1] == depth - 1:
+            cell = cells[-1]
+            slot = 2 if local == "entity1" else 3
+            if cell[slot] is None:
+                resources = (v for a, v in attributes.items() if v and a.rpartition("}")[2] == "resource")
+                cell[slot] = next(resources, "")
+        if local == "Cell":
+            cells.append([len(slots), depth, None, None, "=", 1.0, None])
+            slots.append(None)
+        elements.append([local, None])
+
+    def end(name: str) -> None:
+        nonlocal opened
+        local, first = elements.pop()
+        leaf, opened = opened, False
+        if local in _ALIGNMENT_TEXTS:
+            value = ("".join(chars) if leaf else first).strip()
+            if local in _ALIGNMENT_HEADERS:
+                if leaf:
+                    headers[local] = value
+            elif value and cells and cells[-1][1] == len(elements) - 1:
+                cell = cells[-1]
+                if local == "relation":
+                    cell[4] = value
+                elif cell[6] is None:
+                    try:
+                        cell[5] = float(value)
+                    except ValueError:
+                        cell[6] = MalformedDocument(f"cell {cell[0]}: bad measure {value!r}")
+        if local == "Cell":
+            index, _, entity1, entity2, relation, measure, error = cells.pop()
+            for tag, entity in (("entity1", entity1), ("entity2", entity2)):
+                if not entity:
+                    reason = f"missing <{tag}>" if entity is None else f"<{tag}> has no resource reference"
+                    error = MissingEntity(f"cell {index}: {reason}")
+                    break
+            slots[index] = error or Correspondence(entity1, entity2, relation, measure)
+
+    _read_xml(path, "alignment XML", "}", start, end, chars.append)
+    cells_kept: list[Correspondence] = []
     seen: set[tuple[str, str, str]] = set()
-    for index, cell in enumerate(e for e in root.iter() if _local_name(e.tag) == "Cell"):
-        entity1 = _cell_entity(cell, "entity1", index)
-        entity2 = _cell_entity(cell, "entity2", index)
-        relation = "="
-        measure = 1.0
-        for child in cell:
-            name = _local_name(child.tag)
-            if name == "relation" and child.text and child.text.strip():
-                relation = child.text.strip()
-            elif name == "measure" and child.text and child.text.strip():
-                try:
-                    measure = float(child.text.strip())
-                except ValueError as exc:
-                    raise MalformedDocument(f"cell {index}: bad measure {child.text.strip()!r}") from exc
-        key = (entity1, entity2, relation)
-        if key in seen:
-            continue
-        seen.add(key)
-        cells.append(Correspondence(entity1, entity2, relation, measure))
-    return AlignmentDocument(cells=tuple(cells), **headers)
+    for cell in slots:
+        if isinstance(cell, Exception):
+            raise cell
+        key = cell.key()
+        if key not in seen:
+            seen.add(key)
+            cells_kept.append(cell)
+    return AlignmentDocument(cells=tuple(cells_kept), **headers)

@@ -14,8 +14,9 @@ from conftest import ontology_from_labels, write_reference_xml
 import ontomatch
 
 # Loaded only by the paths that call them: TF-IDF retrieval (scipy), HTTP
-# providers (urllib3, and http.client through it) and nothing (xml.sax).
-OPTIONAL_MODULES = ("scipy", "urllib3", "http.client", "xml.sax.saxutils")
+# providers (urllib3, and http.client through it) and nothing (xml.sax, and
+# xml.etree, since both XML readers stream expat events).
+OPTIONAL_MODULES = ("scipy", "urllib3", "http.client", "xml.sax.saxutils", "xml.etree.ElementTree")
 
 _PROBE = """
 import json, sys

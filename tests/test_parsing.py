@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from conftest import to_latin1, write_rdfxml, write_reference_xml
 
 from ontomatch.errors import MalformedDocument, MissingEntity, UnsupportedFormat
 from ontomatch.parsing import (
+    ConceptRecord,
     derive_label,
     detect_format,
     parse_ontology,
@@ -17,6 +20,20 @@ from ontomatch.parsing import (
 )
 
 BASE = "http://example.org/onto#"
+
+_RDF_XMLNS = 'xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+_ONTOLOGY_HEAD = (
+    f'<?xml version="1.0"?>\n<rdf:RDF {_RDF_XMLNS} xmlns:owl="http://www.w3.org/2002/07/owl#">\n'
+    '  <owl:Class rdf:about="http://example.org/onto#A">\n'
+)
+_ALIGNMENT_HEAD = (
+    f'<?xml version="1.0"?>\n<rdf:RDF xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment#" {_RDF_XMLNS}>\n'
+    "  <Alignment>\n"
+)
+# Per XML reader: the reader, a document head that leaves one element open,
+# that element's tag, and the name its errors give the document kind.
+_READERS = {"owl": (parse_ontology, _ONTOLOGY_HEAD, "owl:Class", "RDF/XML"),
+            "rdf": (parse_reference_alignment, _ALIGNMENT_HEAD, "Alignment", "alignment XML")}
 
 
 def test_parse_collects_labels_synonyms_comments(tmp_path):
@@ -238,6 +255,65 @@ def test_property_attribute_shorthand(tmp_path):
     path = tmp_path / "attrs.owl"
     path.write_text(text, encoding="utf-8")
     assert parse_ontology(path).concepts[0].label == "Steel"
+
+
+def test_rdf_type_attribute_element_and_turtle_forms_agree(tmp_path):
+    head = (
+        '<?xml version="1.0"?>\n'
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+        '         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" xml:base="http://example.org/onto">\n'
+    )
+    attribute = tmp_path / "attribute.owl"
+    attribute.write_text(
+        head + '  <rdf:Description rdf:about="#Alloy" rdf:type="http://www.w3.org/2002/07/owl#Class" '
+        'rdfs:label="Alloy"/>\n</rdf:RDF>\n',
+        encoding="utf-8",
+    )
+    element = tmp_path / "element.owl"
+    element.write_text(
+        head + '  <rdf:Description rdf:about="#Alloy" rdfs:label="Alloy">\n'
+        '    <rdf:type rdf:resource="http://www.w3.org/2002/07/owl#Class"/>\n'
+        "  </rdf:Description>\n</rdf:RDF>\n",
+        encoding="utf-8",
+    )
+    turtle = tmp_path / "turtle.ttl"
+    turtle.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        '<http://example.org/onto#Alloy> a owl:Class ; rdfs:label "Alloy" .\n',
+        encoding="utf-8",
+    )
+    expected = (ConceptRecord(iri=BASE + "Alloy", label="Alloy"),)
+    assert parse_ontology(attribute).concepts == expected
+    assert parse_ontology(element).concepts == expected
+    assert parse_ontology(turtle).concepts == expected
+
+
+def test_rdfxml_node_document_element_bases_and_property_text(tmp_path):
+    text = """<?xml version="1.0"?>
+<owl:Class xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+           xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+           xmlns:owl="http://www.w3.org/2002/07/owl#"
+           xmlns:skos="http://www.w3.org/2004/02/skos/core#"
+           rdf:about="http://example.org/onto#Root">
+  <rdfs:label>Root <!-- a comment --> class</rdfs:label>
+  <rdfs:subClassOf xml:base="http://example.org/other">
+    <owl:Class rdf:about="#Inner" xml:base="http://example.org/inner">
+      <rdfs:label>Inner</rdfs:label>
+    </owl:Class>
+  </rdfs:subClassOf>
+  <rdfs:comment rdf:resource="#Resource">not a literal</rdfs:comment>
+  <rdfs:comment>before <rdf:Description/> after</rdfs:comment>
+  <skos:altLabel><![CDATA[A & B]]></skos:altLabel>
+</owl:Class>
+"""
+    path = tmp_path / "node.owl"
+    path.write_text(text, encoding="utf-8")
+    assert parse_ontology(path).concepts == (
+        ConceptRecord(iri="http://example.org/inner#Inner", label="Inner"),
+        ConceptRecord(iri=BASE + "Root", label="Root  class", synonyms=("A & B",), parents=("http://example.org/other#Inner",)),
+        ConceptRecord(iri="http://example.org/other#Inner", label="Inner", children=(BASE + "Root",)),
+    )
 
 
 def test_parse_is_deterministic(tmp_path):
@@ -623,3 +699,122 @@ def test_reference_bad_measure_rejected(tmp_path):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedDocument):
         parse_reference_alignment(path)
+
+
+def test_reading_a_reference_holds_less_than_the_file_besides_its_cells(tmp_path):
+    # 10k cells over 1000 source and 2000 target IRIs, as a top-10 retrieval
+    # run writes them; a whole Element tree of the file peaks at about 10x it.
+    pairs = [(f"{BASE}s{i // 10:04d}", f"{BASE}t{(i * 7) % 2000:04d}") for i in range(10_000)]
+    path = write_reference_xml(tmp_path / "ref.rdf", pairs)
+    tracemalloc.start()
+    try:
+        document = parse_reference_alignment(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(document) == 10_000
+    assert peak - retained < path.stat().st_size
+
+
+def test_reference_missing_entity_messages_name_the_cell(tmp_path):
+    cell = '<map><Cell><entity1 rdf:resource="http://example.org/a"/><entity2 rdf:resource="http://example.org/b"/></Cell></map>'
+    cases = {
+        '<map><Cell><entity1 rdf:resource="http://example.org/c"/></Cell></map>': "cell 1: missing <entity2>",
+        '<map><Cell><entity1>c</entity1><entity2 rdf:resource="http://example.org/d"/></Cell></map>':
+            "cell 1: <entity1> has no resource reference",
+    }
+    for second, message in cases.items():
+        path = tmp_path / "ref.rdf"
+        path.write_text(_ALIGNMENT_HEAD + cell + second + "</Alignment></rdf:RDF>\n", encoding="utf-8")
+        with pytest.raises(MissingEntity) as excinfo:
+            parse_reference_alignment(path)
+        assert str(excinfo.value) == message
+
+
+def test_reference_reports_the_first_bad_cell_and_a_syntax_error_before_any(tmp_path):
+    bad_cells = (
+        '<map><Cell><entity1 rdf:resource="http://example.org/a"/></Cell></map>'
+        '<map><Cell><entity2 rdf:resource="http://example.org/b"/></Cell></map>'
+    )
+    path = tmp_path / "ref.rdf"
+    path.write_text(_ALIGNMENT_HEAD + bad_cells + "</Alignment></rdf:RDF>\n", encoding="utf-8")
+    with pytest.raises(MissingEntity, match=r"^cell 0: missing <entity2>$"):
+        parse_reference_alignment(path)
+    path.write_text(_ALIGNMENT_HEAD + bad_cells + "</Alignment>\n", encoding="utf-8")
+    with pytest.raises(MalformedDocument, match=r"^invalid alignment XML: no element found \(line 5, column 0\)$"):
+        parse_reference_alignment(path)
+
+
+def test_reference_bad_measure_message(tmp_path):
+    path = tmp_path / "ref.rdf"
+    path.write_text(
+        _ALIGNMENT_HEAD + '<map><Cell><entity1 rdf:resource="http://example.org/a"/>'
+        '<entity2 rdf:resource="http://example.org/b"/><measure> high </measure></Cell></map>'
+        "</Alignment></rdf:RDF>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedDocument) as excinfo:
+        parse_reference_alignment(path)
+    assert str(excinfo.value) == "cell 0: bad measure 'high'"
+
+
+def test_reference_headers_come_from_the_last_leaf_of_each_name(tmp_path):
+    path = tmp_path / "ref.rdf"
+    path.write_text(
+        _ALIGNMENT_HEAD
+        + "<level>0</level><type>**</type><level> 2EDOAL </level>"
+        '<onto1><Ontology rdf:about="http://example.org/src"><location>src.owl</location></Ontology></onto1>'
+        "<onto2>http://example.org/tgt</onto2></Alignment></rdf:RDF>\n",
+        encoding="utf-8",
+    )
+    ref = parse_reference_alignment(path)
+    assert (ref.onto1, ref.onto2, ref.level, ref.type) == ("", "http://example.org/tgt", "2EDOAL", "**")
+
+
+# -- malformed and DTD-bearing XML ---------------------------------------------
+
+
+@pytest.mark.parametrize("suffix", sorted(_READERS))
+@pytest.mark.parametrize("body, message, line, column", [
+    ("  </owl:Thing>\n</rdf:RDF>\n", "mismatched tag", 4, 4),
+    ("    <ex:p/>\n", "unbound prefix", 4, 4),
+    ("  </OPEN>\n</rdf:RDF>\n<rdf:RDF/>\n", "junk after document element", 6, 0),
+    ("    <p>&nope;</p>\n", "undefined entity", 4, 7),
+], ids=["mismatched", "unbound", "junk", "undefined-entity"])
+def test_malformed_xml_reports_the_parsers_message_and_position(tmp_path, suffix, body, message, line, column):
+    reader, head, open_tag, what = _READERS[suffix]
+    path = tmp_path / f"broken.{suffix}"
+    path.write_text(head + body.replace("OPEN", open_tag), encoding="utf-8")
+    with pytest.raises(MalformedDocument) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"invalid {what}: {message} (line {line}, column {column})"
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("suffix", sorted(_READERS))
+def test_an_entity_left_to_an_external_dtd_is_undefined(tmp_path, suffix):
+    reader, head, _, what = _READERS[suffix]
+    head = head.replace("<rdf:RDF", '<!DOCTYPE rdf:RDF SYSTEM "rdf.dtd">\n<rdf:RDF', 1)
+    path = tmp_path / f"external.{suffix}"
+    path.write_text(head + "    <p>&nope;</p>\n", encoding="utf-8")
+    with pytest.raises(MalformedDocument) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"invalid {what}: undefined entity &nope; (line 5, column 7)"
+
+
+def test_internal_dtd_entities_expand_in_iris_and_labels(tmp_path):
+    path = tmp_path / "entities.owl"
+    path.write_text(
+        '<?xml version="1.0"?>\n'
+        '<!DOCTYPE rdf:RDF [\n  <!ENTITY ex "http://example.org/onto#">\n  <!ENTITY metal "alloyed metal">\n]>\n'
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+        '         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"\n'
+        '         xmlns:owl="http://www.w3.org/2002/07/owl#">\n'
+        '  <owl:Class rdf:about="&ex;Alloy"><rdfs:label>An &metal;</rdfs:label></owl:Class>\n'
+        '  <owl:Class rdf:about="&ex;Steel"><rdfs:subClassOf rdf:resource="&ex;Alloy"/></owl:Class>\n'
+        "</rdf:RDF>\n",
+        encoding="utf-8",
+    )
+    alloy, steel = parse_ontology(path).concepts
+    assert (alloy.iri, alloy.label, alloy.children) == (BASE + "Alloy", "An alloyed metal", (BASE + "Steel",))
+    assert steel.iri == BASE + "Steel"

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import ontology_from_labels, write_reference_xml
+from conftest import ontology_from_labels, write_rdfxml, write_reference_xml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ontomatch import pipeline
 from ontomatch.errors import ConfigError
@@ -378,3 +380,53 @@ def test_report_json_shape():
         "metrics": None,
         "config": {},
     }
+
+
+@st.composite
+def _reordered_inputs(draw):
+    """Two small ontologies and a reference, each ontology's classes in
+    document order and in a drawn order, and the reference with one of its
+    cells written once more at a drawn position."""
+    words = st.text("aeiklmnorst -", min_size=1, max_size=10)
+
+    def classes(base):
+        n = draw(st.integers(1, 7))
+        return [
+            {
+                "iri": f"{base}C{i}",
+                "labels": draw(st.lists(words, max_size=2)),
+                "synonyms": draw(st.lists(words, max_size=1)),
+                "parents": [f"{base}C{j}" for j in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))],
+            }
+            for i in range(n)
+        ]
+
+    source, target = classes(SRC_BASE), classes(TGT_BASE)
+    reference = draw(st.lists(
+        st.tuples(st.sampled_from(source), st.sampled_from(target)).map(lambda pair: (pair[0]["iri"], pair[1]["iri"])),
+        min_size=1, max_size=6,
+    ))
+    repeated = list(reference)
+    repeated.insert(draw(st.integers(0, len(reference))), draw(st.sampled_from(reference)))
+    return (source, draw(st.permutations(source))), (target, draw(st.permutations(target))), (reference, repeated)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_reordered_inputs(), st.sampled_from(["fuzzy", "retrieval"]), st.sampled_from(["C", "CC", "CP"]))
+def test_class_order_and_a_repeated_reference_cell_change_no_output(tmp_path, inputs, method, view):
+    (source, shuffled_source), (target, shuffled_target), (reference, repeated) = inputs
+    cfg = PipelineConfig(
+        source_path=str(tmp_path / "src.owl"), target_path=str(tmp_path / "tgt.owl"),
+        reference_path=str(tmp_path / "reference.rdf"), output_path=str(tmp_path / "alignment.xml"),
+        method=method, view=view,
+    )
+
+    def run(source, target, reference):
+        write_rdfxml(tmp_path / "src.owl", source)
+        write_rdfxml(tmp_path / "tgt.owl", target)
+        write_reference_xml(tmp_path / "reference.rdf", reference)
+        _, report = run_pipeline(cfg)
+        return (tmp_path / "alignment.xml").read_bytes(), report.metrics
+
+    assert run(shuffled_source, shuffled_target, repeated) == run(source, target, reference)
