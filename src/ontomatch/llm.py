@@ -16,10 +16,11 @@ log-probability), the decision falls back to the completion text at a flat
 "yes" if the case-folded text contains "yes", else "no".
 
 The endpoint has no default: a URL, or ``mock:`` for the offline mock, a
-pure function of its inputs.  Its confidence comes from an explicit rule
-table, or else from the fuzzy ratio of the concept labels, and its
-completion is that decision's label.  Clients take (prompt, (source label,
-target label)) items, so prompts never get parsed; HTTP sends the prompt.
+pure function of the prompt.  Both clients take plain prompt strings, which
+is exactly what HTTP sends.  The mock is built with the run's
+:class:`~ontomatch.rag.PromptTemplate` and reads the two texts back out of
+the query block that ends each prompt: its confidence is their fuzzy ratio,
+and its completion is that decision's label.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError, ProviderError
 from .fuzzy import fuzzy_ratio
 from .transport import connection_pool, mock_query, post_json
 
+if TYPE_CHECKING:  # rag imports this module
+    from .rag import PromptTemplate
+
 _TOP_LOGPROBS = 20
 _OPTIONS = ("yes", "no")
-# Confidence for a pair the rule table does not list.
-MOCK_DEFAULT_CONFIDENCE = 0.2
 
 
 def read_answer(text: str) -> str:
@@ -118,7 +120,7 @@ class HttpLLMClient:
         self._threads.shutdown(cancel_futures=True)
         self._pool.clear()
 
-    def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
+    def binary_decision(self, prompt: str) -> Decision:
         """Decide yes or no from first-token probabilities.
 
         The confidence is the renormalized probability mass of "yes".
@@ -130,13 +132,13 @@ class HttpLLMClient:
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
 
-    def complete_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[str]:
-        """Complete (prompt, meta) items' prompts, preserving input order."""
-        return [text for text, _ in self._threads.map(self._request, [prompt for prompt, _ in items])]
+    def complete_many(self, prompts: Sequence[str]) -> list[str]:
+        """Complete prompts, preserving input order."""
+        return [text for text, _ in self._threads.map(self._request, prompts)]
 
-    def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
-        """Binary-decide (prompt, meta) items, preserving input order."""
-        return list(self._threads.map(lambda item: self.binary_decision(*item), items))
+    def decide_many(self, prompts: Sequence[str]) -> list[Decision]:
+        """Binary-decide prompts, preserving input order."""
+        return list(self._threads.map(self.binary_decision, prompts))
 
     # -- internals -----------------------------------------------------
 
@@ -191,48 +193,35 @@ class HttpLLMClient:
 class MockLLMClient:
     """Offline stand-in with the same surface as :class:`HttpLLMClient`.
 
-    Decisions are a pure function of the (source, target) label pair: the
-    rule table wins when it lists the pair, a missing pair falls back to
-    ``default_confidence``, and with no table at all the confidence is the
-    fuzzy ratio of the two labels.  A completion is the label of the
-    decision on the same item.
+    A decision is a pure function of the prompt: the confidence is the fuzzy
+    ratio of the two texts that ``template`` reads back from the prompt's
+    query block (:meth:`~ontomatch.rag.PromptTemplate.query_texts`), so the
+    view a prompt renders counts.  A completion is the decision's label.
     """
 
-    def __init__(
-        self,
-        rules: dict[tuple[str, str], float] | None = None,
-        default_confidence: float = MOCK_DEFAULT_CONFIDENCE,
-    ):
-        self.rules = rules
-        self.default_confidence = default_confidence
-        self.call_count = 0
+    def __init__(self, template: PromptTemplate):
+        self.template = template
 
     def close(self) -> None:
         """Nothing to release; here for the :class:`HttpLLMClient` surface."""
 
-    def binary_decision(self, prompt: str, meta: tuple[str, str] | None = None) -> Decision:
-        self.call_count += 1
-        if meta is None:
-            raise ConfigError("the mock llm needs (source, target) labels in meta")
-        source, target = meta
-        if self.rules is not None:
-            confidence = self.rules.get((source, target), self.default_confidence)
-        else:
-            confidence = fuzzy_ratio(source, target)
+    def binary_decision(self, prompt: str) -> Decision:
+        confidence = fuzzy_ratio(*self.template.query_texts(prompt))
         label = "yes" if confidence >= 0.5 else "no"
         return Decision(label=label, confidence=confidence)
 
-    def complete_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[str]:
-        return [decision.label for decision in self.decide_many(items)]
+    def complete_many(self, prompts: Sequence[str]) -> list[str]:
+        return [decision.label for decision in self.decide_many(prompts)]
 
-    def decide_many(self, items: Sequence[tuple[str, tuple[str, str] | None]]) -> list[Decision]:
-        return [self.binary_decision(prompt, meta) for prompt, meta in items]
+    def decide_many(self, prompts: Sequence[str]) -> list[Decision]:
+        return [self.binary_decision(prompt) for prompt in prompts]
 
 
-def make_llm_client(cfg: LLMConfig) -> HttpLLMClient | MockLLMClient:
-    """Build the client named by ``cfg.endpoint``: a URL, or "mock:" (the
-    mock ignores the ``dim``/``seed`` query meant for the embedding mock)."""
+def make_llm_client(cfg: LLMConfig, template: PromptTemplate) -> HttpLLMClient | MockLLMClient:
+    """Build the client named by ``cfg.endpoint``: a URL, or "mock:" for the
+    stand-in that reads prompts rendered with ``template`` (it ignores the
+    ``dim``/``seed`` query meant for the embedding mock)."""
     cfg.validate()
     if mock_query(cfg.endpoint) is not None:
-        return MockLLMClient()
+        return MockLLMClient(template)
     return HttpLLMClient(cfg)

@@ -51,6 +51,9 @@ _RDF_DESCRIPTION = RDF_NS + "Description"
 _RDF_ABOUT = RDF_NS + "about"
 _RDF_ID = RDF_NS + "ID"
 _RDF_RESOURCE = RDF_NS + "resource"
+_RDF_PARSE_TYPE = RDF_NS + "parseType"
+# The predicate slot of the blank node that a parseType="Resource" property holds.
+_RESOURCE_NODE = object()
 # Attributes of these namespaces are syntax, not property attributes.
 _SYNTAX_NS = (RDF_NS, XML_NS)
 _SUBCLASS = RDFS_NS + "subClassOf"
@@ -297,15 +300,23 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
     a node under such a property.  A frame is ``(subject, predicate, base,
     literal)``; ``literal`` marks a property with a subject and no resource,
     whose text is its object if it turns out to have no child element.
+
+    A ``rdf:parseType="Resource"`` property holds a blank node's properties,
+    so a subject-less node frame rides on top of it.  A ``Literal`` one (or
+    any type but ``Collection``) holds markup, not nodes: its text is its object.
     """
     triples: list[Triple] = []
     emit = triples.append
     stack: list[tuple] = []
     chars: list[str] = []
     opened = False  # whether the last tag was a start tag
+    markup = 0  # open elements inside an XML-literal property
 
     def start(name: str, attributes: dict[str, str]) -> None:
-        nonlocal opened
+        nonlocal opened, markup
+        if markup:
+            markup += 1
+            return
         opened = True
         chars.clear()
         if not stack:
@@ -338,14 +349,25 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
             subject, _, outer, _ = stack[-1]
             base = attributes.get(XML_BASE, outer)
             resource = attributes.get(_RDF_RESOURCE)
+            parse_type = attributes.get(_RDF_PARSE_TYPE)
             if resource is not None and subject is not None:
                 emit((subject, name, _resolve(base, resource), False))
             stack.append((subject, name, base, resource is None and subject is not None))
+            if parse_type == "Resource":
+                stack.append((None, _RESOURCE_NODE, base, False))
+            elif parse_type not in (None, "Collection"):
+                markup = 1
 
     def end(name: str) -> None:
-        nonlocal opened
+        nonlocal opened, markup
+        if markup:
+            markup -= 1
+            if markup:
+                return
         subject, predicate, _, literal = stack.pop()
-        if literal and opened:
+        if predicate is _RESOURCE_NODE:
+            stack.pop()
+        elif literal and opened:
             value = "".join(chars).strip()
             if value:
                 emit((subject, predicate, value, True))

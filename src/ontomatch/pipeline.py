@@ -65,8 +65,8 @@ class PipelineConfig:
         EncodingView.parse(self.view)
         if self.pair_cap < 1:
             raise ConfigError(f"pair_cap must be positive, got {self.pair_cap}")
-        if self.method == "rag" and self.rag.shots:
-            raise ConfigError(f"method rag is zero-shot; for {self.rag.shots} shots use method fewshot_rag")
+        if self.rag.shots and self.method != "fewshot_rag":
+            raise ConfigError(f"method {self.method} takes no shots; for {self.rag.shots} shots use method fewshot_rag")
         if self.method == "fewshot_rag" and self.rag.shots == 0:
             raise ConfigError("method fewshot_rag needs at least 1 shot; for zero-shot use method rag")
         self.fuzzy.validate()

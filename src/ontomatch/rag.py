@@ -80,6 +80,37 @@ class PromptTemplate:
                 if block.count(placeholder) != 1:
                     raise TemplateError(f"{name} must contain {placeholder} exactly once")
 
+    def query_texts(self, prompt: str) -> tuple[str, str]:
+        """The (source, target) texts that :func:`build_prompt` put in the
+        query block ending ``prompt``, found by the block's literals.
+
+        Texts that hold none of the template's literals come back exactly; a
+        text that holds the literal between the placeholders is split at its
+        last occurrence.  The first text starts after the preamble, at the
+        last occurrence of the block's opening literal or, when that is
+        empty, of the shot block's closing one.
+
+        Raises:
+            TemplateError: the prompt does not end with this query block, or
+                the block has no literal between its placeholders.
+        """
+        first, second = sorted(("{src}", "{tgt}"), key=self.query_block.index)
+        opening, rest = self.query_block.split(first)
+        middle, closing = rest.split(second)
+        if not middle:
+            raise TemplateError("query_block needs a literal between {src} and {tgt} to be read back")
+        head, found, second_text = prompt[:len(prompt) - len(closing)].rpartition(middle)
+        anchor = opening or self.shot_block[max(
+            self.shot_block.index(p) + len(p) for p in ("{src}", "{tgt}", "{answer}")):]
+        start = len(self.preamble) + 1
+        at = head.rfind(anchor, start) if anchor else -1
+        if not (found and prompt.endswith(closing)) or (opening and at < 0):
+            raise TemplateError("the prompt does not end with this template's query block")
+        if at >= 0:
+            start = at + len(anchor)
+        texts = (head[start:], second_text)
+        return texts if first == "{src}" else texts[::-1]
+
 
 @dataclass(frozen=True)
 class RAGConfig:
@@ -90,7 +121,8 @@ class RAGConfig:
         llm: endpoint settings for the generator.
         llm_threshold: minimum yes-confidence to keep a pair (T_l).
         shots: worked examples per prompt; None or 0 is zero-shot RAG.
-            Method fewshot_rag needs at least 1 (2 when unset), rag none.
+            Method fewshot_rag needs at least 1 (2 when unset); no other
+            method takes any.
         exemplars: few-shot examples; ignored when zero-shot.
         exemplars_path: optional JSON file overriding ``exemplars``.
         journal_path: optional JSON-lines checkpoint for resumable runs.
@@ -170,16 +202,15 @@ def build_prompt(
 
 
 def _query(source: EncodedCorpus, target: EncodedCorpus, i: int, j: int,
-           shots: tuple[Exemplar, ...], template: PromptTemplate) -> tuple[str, tuple[str, str]]:
-    """The client item for source concept i and target concept j: the prompt
-    rendered at the corpora's view, and the two concept labels."""
+           shots: tuple[Exemplar, ...], template: PromptTemplate) -> str:
+    """The prompt for source concept i and target concept j, rendered at the
+    corpora's view."""
     src, tgt = source.structured[i], target.structured[j]
-    prompt = build_prompt(
+    return build_prompt(
         render_concept(src.concept_label, src.related_labels, source.view),
         render_concept(tgt.concept_label, tgt.related_labels, target.view),
         shots, template,
     )
-    return prompt, (src.concept_label, tgt.concept_label)
 
 
 # --------------------------------------------------------------------------
@@ -213,11 +244,11 @@ def align_llm_pairwise(
     out: list[Correspondence] = []
     with ExitStack() as owned:
         if client is None:
-            client = owned.enter_context(closing(make_llm_client(cfg)))
+            client = owned.enter_context(closing(make_llm_client(cfg, template)))
         for start in range(0, len(pairs), cfg.batch_size):
             batch = pairs[start:start + cfg.batch_size]
-            items = [_query(source, target, i, j, (), template) for i, j in batch]
-            for (i, j), generated in zip(batch, client.complete_many(items)):
+            prompts = [_query(source, target, i, j, (), template) for i, j in batch]
+            for (i, j), generated in zip(batch, client.complete_many(prompts)):
                 if read_answer(generated) == "yes":
                     out.append(Correspondence(source.iris[i], target.iris[j], "=", 1.0, "llm:pairwise"))
     return out
@@ -296,11 +327,11 @@ def align_rag(
     journal = Path(cfg.journal_path) if cfg.journal_path else None
     with ExitStack() as owned:
         if client is None:  # even with nothing to ask: an LLM run names its endpoint
-            client = owned.enter_context(closing(make_llm_client(cfg.llm)))
+            client = owned.enter_context(closing(make_llm_client(cfg.llm, cfg.template)))
         for start in range(0, len(pending), cfg.llm.batch_size):
             batch = pending[start:start + cfg.llm.batch_size]
-            items = [_query(src_prompts, tgt_prompts, i, j, shots, cfg.template) for i, j in batch]
-            decisions = client.decide_many(items)
+            prompts = [_query(src_prompts, tgt_prompts, i, j, shots, cfg.template) for i, j in batch]
+            decisions = client.decide_many(prompts)
             lines = []
             for (i, j), decision in zip(batch, decisions):
                 key = (src_corpus.iris[i], tgt_corpus.iris[j])

@@ -1,4 +1,5 @@
-"""Shared fixtures: on-disk ontology builders and a local HTTP test server."""
+"""Shared fixtures: on-disk ontology builders, fake LLM clients and a local
+HTTP test server."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from ontomatch.encoding import ConceptText, EncodedCorpus, EncodingView
+from ontomatch.llm import Decision, MockLLMClient
 from ontomatch.parsing import ConceptRecord, Ontology
+from ontomatch.rag import PromptTemplate
 
 HEADER = (
     '<?xml version="1.0" encoding="utf-8"?>\n'
@@ -121,6 +124,55 @@ def make_ontology(labels: list[str], base: str = "http://example.org/onto#") -> 
         ConceptRecord(iri=f"{base}C{i:05d}", label=label) for i, label in enumerate(labels)
     )
     return Ontology(concepts=concepts, source_path="<memory>", format="rdf-xml")
+
+
+class RuleClient(MockLLMClient):
+    """The ``mock:`` stand-in for the default template, counting its
+    decisions, with an optional rule table.
+
+    With ``rules``, a prompt whose query texts are a listed (source, target)
+    pair gets that pair's confidence, and any other prompt 0.2.
+    """
+
+    def __init__(self, rules: dict[tuple[str, str], float] | None = None):
+        super().__init__(PromptTemplate())
+        self.rules = rules
+        self.call_count = 0
+
+    def binary_decision(self, prompt: str) -> Decision:
+        self.call_count += 1
+        if self.rules is None:
+            return super().binary_decision(prompt)
+        confidence = self.rules.get(self.template.query_texts(prompt), 0.2)
+        return Decision(label="yes" if confidence >= 0.5 else "no", confidence=confidence)
+
+
+class FlakyClient(RuleClient):
+    """Raises on the n-th batch to simulate an interrupted run."""
+
+    def __init__(self, fail_on_batch: int, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_on_batch = fail_on_batch
+        self.batches = 0
+
+    def decide_many(self, prompts):
+        self.batches += 1
+        if self.batches == self.fail_on_batch:
+            raise RuntimeError("simulated crash")
+        return super().decide_many(prompts)
+
+
+class RecordingClient:
+    """Decides every prompt at one confidence and keeps the prompts it was asked."""
+
+    def __init__(self, confidence: float = 1.0):
+        self.prompts: list[str] = []
+        self.confidence = confidence
+
+    def decide_many(self, prompts):
+        self.prompts.extend(prompts)
+        label = "yes" if self.confidence >= 0.5 else "no"
+        return [Decision(label=label, confidence=self.confidence) for _ in prompts]
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -31,7 +31,7 @@ from ontomatch.mapping import Correspondence
 from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 from ontomatch.pipeline import PipelineConfig, run_pipeline
 from ontomatch.postprocess import cardinality_filter
-from ontomatch.rag import DEFAULT_EXEMPLARS, RAGConfig, align_rag, load_exemplars
+from ontomatch.rag import DEFAULT_EXEMPLARS, PromptTemplate, RAGConfig, align_rag, load_exemplars
 from ontomatch.retrieval import (
     MockEmbeddingProvider,
     RetrievalConfig,
@@ -178,7 +178,7 @@ def test_monotonicity_property_suites():
         source = make_ontology(random_texts(rng, rng.randint(1, 5)), base="http://example.org/a#")
         target = make_ontology(random_texts(rng, rng.randint(1, 5)), base="http://example.org/b#")
         low, high = sorted((rng.random(), rng.random()))
-        client = MockLLMClient()
+        client = MockLLMClient(PromptTemplate())
         base = dict(retrieval=RetrievalConfig(top_k=3, threshold=0.0))
         loose = {
             (c.source, c.target)

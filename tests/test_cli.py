@@ -351,6 +351,19 @@ def test_a_config_value_of_the_wrong_json_type_exits_1(corpus, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["fuzzy", "retrieval", "llm", "rag"])
+def test_shots_for_a_method_that_never_prompts_with_them_exit_1(corpus, tmp_path, capsys, method):
+    source, target, _ = corpus
+    out = tmp_path / "a.xml"
+    code = main([
+        "align", "--source", str(source), "--target", str(target), "--method", method,
+        "--ns", "3", "--endpoint", "mock:", "--out", str(out),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error", f"method {method} takes no shots", "fewshot_rag")
+    assert not out.exists()
+
+
 def test_fewshot_rag_reports_the_two_shots_it_runs_by_default(corpus, tmp_path, capsys):
     source, target, _ = corpus
     out = tmp_path / "a.json"

@@ -12,9 +12,9 @@ import urllib3
 
 import ontomatch.llm as llm_module
 import ontomatch.transport as transport
-from ontomatch.errors import ConfigError, EndpointUnreachable, ProviderError
+from ontomatch.errors import ConfigError, EndpointUnreachable, ProviderError, TemplateError
+from ontomatch.fuzzy import fuzzy_ratio
 from ontomatch.llm import (
-    MOCK_DEFAULT_CONFIDENCE,
     Decision,
     HttpLLMClient,
     LLMConfig,
@@ -22,6 +22,7 @@ from ontomatch.llm import (
     make_llm_client,
     read_answer,
 )
+from ontomatch.rag import DEFAULT_EXEMPLARS, PromptTemplate, build_prompt
 
 
 def completion_app(text="ok", top_logprobs=None):
@@ -167,7 +168,7 @@ def test_read_answer_is_total_over_arbitrary_text():
 def test_complete_returns_choice_text_and_sends_settings(http_server):
     http_server.app = completion_app("generated words")
     client = client_for(http_server, model_id="m-7", max_new_tokens=4, temperature=0.5)
-    assert client.complete_many([("the prompt", None)])[0] == "generated words"
+    assert client.complete_many(["the prompt"])[0] == "generated words"
     payload = http_server.requests[0]["payload"]
     assert payload == {
         "model": "m-7",
@@ -193,20 +194,20 @@ def test_completion_text_that_is_not_a_string_is_a_provider_error(http_server, t
     with pytest.raises(ProviderError, match="not a string"):
         client.binary_decision("prompt")
     with pytest.raises(ProviderError, match="not a string"):
-        client.complete_many([("prompt", None)])[0]
+        client.complete_many(["prompt"])[0]
 
 
 def test_malformed_logprobs_fall_back_to_text(http_server):
     http_server.app = lambda path, payload: (200, {"choices": [{"text": "yes", "logprobs": [0.5]}]})
     client = client_for(http_server)
-    assert client.complete_many([("prompt", None)])[0] == "yes"
+    assert client.complete_many(["prompt"])[0] == "yes"
     assert client.binary_decision("prompt") == Decision(label="yes", confidence=0.5, fallback=True)
 
 
 def test_missing_choices_is_a_provider_error(http_server):
     http_server.app = lambda path, payload: (200, {"choices": []})
     with pytest.raises(ProviderError):
-        client_for(http_server).complete_many([("prompt", None)])[0]
+        client_for(http_server).complete_many(["prompt"])[0]
 
 
 def test_http_error_carries_body_excerpt(http_server):
@@ -231,7 +232,7 @@ def test_unreachable_endpoint_raises_after_retries(monkeypatch):
     )
     client = HttpLLMClient(LLMConfig(endpoint="http://127.0.0.1:1/v1"))
     with pytest.raises(EndpointUnreachable):
-        client.complete_many([("prompt", None)])[0]
+        client.complete_many(["prompt"])[0]
     assert calls["n"] == 3
 
 
@@ -246,7 +247,7 @@ def test_batched_completion_preserves_order_and_bounds_concurrency(http_server):
     http_server.app = app
     client = client_for(http_server, batch_size=3)
     prompts = [f"p{i}" for i in range(12)]
-    assert client.complete_many([(p, None) for p in prompts]) == [f"echo:{p}" for p in prompts]
+    assert client.complete_many(prompts) == [f"echo:{p}" for p in prompts]
     assert len(http_server.requests) == 12
     assert 1 <= http_server.max_active <= 3
 
@@ -259,7 +260,7 @@ def test_decide_many_preserves_order(http_server):
 
     http_server.app = app
     client = client_for(http_server, batch_size=4)
-    decisions = client.decide_many([("a!", None), ("b", None), ("c!", None)])
+    decisions = client.decide_many(["a!", "b", "c!"])
     assert [d.label for d in decisions] == ["yes", "no", "yes"]
     assert client.decide_many([]) == []
 
@@ -268,7 +269,7 @@ def test_client_reuses_at_most_batch_size_connections(keepalive_server):
     keepalive_server.app = completion_app("yes", {" yes": math.log(0.9)})
     client = client_for(keepalive_server, batch_size=3)
     for call in range(4):
-        decisions = client.decide_many([(f"p{call}.{i}", None) for i in range(3)])
+        decisions = client.decide_many([f"p{call}.{i}" for i in range(3)])
         assert [d.label for d in decisions] == ["yes"] * 3
     client.close()
     assert len(keepalive_server.requests) == 12
@@ -287,74 +288,84 @@ def test_client_builds_one_thread_pool_for_its_life(http_server, monkeypatch):
     http_server.app = completion_app("yes", {" yes": math.log(0.9)})
     client = client_for(http_server, batch_size=2)
     for call in range(2):
-        assert [d.label for d in client.decide_many([(f"p{call}.{i}", None) for i in range(3)])] == ["yes"] * 3
-    assert client.complete_many([("p", None)]) == ["yes"]
+        assert [d.label for d in client.decide_many([f"p{call}.{i}" for i in range(3)])] == ["yes"] * 3
+    assert client.complete_many(["p"]) == ["yes"]
     assert built == [2]
     client.close()
     with pytest.raises(RuntimeError):
-        client.decide_many([("p", None)])
+        client.decide_many(["p"])
 
 
 # -- the offline mock ---------------------------------------------------------
 
 
-def test_mock_rule_table_wins_then_default():
-    client = MockLLMClient(rules={("alloy", "metal alloy"): 0.95})
-    hit = client.binary_decision("p", meta=("alloy", "metal alloy"))
-    miss = client.binary_decision("p", meta=("alloy", "quartz"))
-    assert hit == Decision(label="yes", confidence=0.95)
-    assert miss.confidence == MOCK_DEFAULT_CONFIDENCE == 0.2
-    assert miss.label == "no"
-    assert client.call_count == 2
-
-
-def test_mock_without_rules_scores_by_label_similarity():
-    client = MockLLMClient()
-    same = client.binary_decision("p", meta=("copper", "copper"))
+def test_mock_scores_the_texts_of_the_query_block_by_similarity():
+    client = MockLLMClient(PromptTemplate())
+    same = client.binary_decision(build_prompt("copper", "copper", DEFAULT_EXEMPLARS))
     assert same == Decision(label="yes", confidence=1.0)
-    different = client.binary_decision("p", meta=("copper", "iron"))
+    different = client.binary_decision(build_prompt("copper", "iron"))
     assert different.confidence == pytest.approx(0.2)
     assert different.label == "no"
 
 
 def test_mock_confidence_of_one_half_is_yes():
-    client = MockLLMClient(rules={("a", "b"): 0.5})
-    assert client.binary_decision("p", meta=("a", "b")) == Decision(label="yes", confidence=0.5)
+    assert fuzzy_ratio("ab", "cb") == 0.5
+    assert MockLLMClient(PromptTemplate()).binary_decision(build_prompt("ab", "cb")) == Decision(
+        label="yes", confidence=0.5
+    )
 
 
-def test_mock_requires_label_meta():
-    with pytest.raises(ConfigError):
-        MockLLMClient().binary_decision("p", meta=None)
+def test_mock_reads_the_rendered_view_not_just_the_labels():
+    client = MockLLMClient(PromptTemplate())
+    bare = client.binary_decision(build_prompt("alloy", "alloy"))
+    with_context = client.binary_decision(build_prompt("alloy, children: steel", "alloy, parents: metal"))
+    assert bare.confidence == 1.0
+    assert with_context.confidence == fuzzy_ratio("alloy, children: steel", "alloy, parents: metal") < 1.0
+
+
+def test_mock_reads_a_custom_template_with_the_target_first():
+    template = PromptTemplate(preamble="Same?", query_block="{tgt} <= {src} ? ", shot_block="{src}|{tgt}|{answer};")
+    prompt = build_prompt("copper", "iron", DEFAULT_EXEMPLARS, template)
+    assert template.query_texts(prompt) == ("copper", "iron")
+    assert MockLLMClient(template).binary_decision(prompt).confidence == pytest.approx(0.2)
+
+
+def test_mock_refuses_a_prompt_it_cannot_read():
+    with pytest.raises(TemplateError, match="does not end"):
+        MockLLMClient(PromptTemplate(query_block="Q: {src} vs {tgt} -> ")).binary_decision(build_prompt("a", "b"))
+    adjacent = PromptTemplate(query_block="{src}{tgt}")
+    with pytest.raises(TemplateError, match="between"):
+        MockLLMClient(adjacent).binary_decision(build_prompt("a", "b", (), adjacent))
 
 
 def test_mock_completions_are_its_decisions_labels():
-    items = [("p1", ("a", "b")), ("p2", ("a", "c")), ("p3", ("copper", "copper")), ("p4", ("copper", "iron"))]
-    for client in (MockLLMClient(rules={("a", "b"): 0.7}), MockLLMClient()):
-        assert client.complete_many(items) == [d.label for d in client.decide_many(items)]
-        assert client.call_count == 2 * len(items)
-    assert MockLLMClient(rules={("a", "b"): 0.7}).complete_many(items) == ["yes", "no", "no", "no"]
-    assert MockLLMClient().complete_many(items[2:]) == ["yes", "no"]
+    client = MockLLMClient(PromptTemplate())
+    prompts = [build_prompt(s, t) for s, t in [("a", "b"), ("a", "a"), ("copper", "copper"), ("copper", "iron")]]
+    assert client.complete_many(prompts) == [d.label for d in client.decide_many(prompts)]
+    assert client.complete_many(prompts) == ["no", "yes", "yes", "no"]
 
 
 def test_mock_decide_many_matches_singles():
-    client = MockLLMClient(rules={("a", "b"): 0.7})
-    out = client.decide_many([("p1", ("a", "b")), ("p2", ("a", "c"))])
-    assert [d.confidence for d in out] == [0.7, 0.2]
+    client = MockLLMClient(PromptTemplate())
+    prompts = [build_prompt("ab", "cb"), build_prompt("copper", "iron")]
+    assert client.decide_many(prompts) == [client.binary_decision(p) for p in prompts]
 
 
 # -- factory and config --------------------------------------------------------
 
 
 def test_factory_picks_client_by_endpoint_scheme():
-    assert isinstance(make_llm_client(LLMConfig(endpoint="mock:")), MockLLMClient)
-    assert isinstance(make_llm_client(LLMConfig(endpoint="mock:?dim=8&seed=3")), MockLLMClient)
-    assert isinstance(make_llm_client(LLMConfig(endpoint="http://h/v1")), HttpLLMClient)
+    template = PromptTemplate()
+    mock = make_llm_client(LLMConfig(endpoint="mock:"), template)
+    assert isinstance(mock, MockLLMClient) and mock.template is template
+    assert isinstance(make_llm_client(LLMConfig(endpoint="mock:?dim=8&seed=3"), template), MockLLMClient)
+    assert isinstance(make_llm_client(LLMConfig(endpoint="http://h/v1"), template), HttpLLMClient)
 
 
 def test_a_client_needs_an_endpoint():
     assert LLMConfig().endpoint is None
     LLMConfig().validate()  # an aligner without LLM calls runs with no endpoint
-    for build in (make_llm_client, HttpLLMClient):
+    for build in (functools.partial(make_llm_client, template=PromptTemplate()), HttpLLMClient):
         with pytest.raises(ConfigError, match="rag.llm.endpoint.*--endpoint"):
             build(LLMConfig())
 

@@ -231,6 +231,54 @@ def test_nested_named_superclass_node(tmp_path):
     assert onto.concepts[1].parents == (BASE + "Alloy",)
 
 
+def test_parse_type_literal_reads_the_text_inside_its_markup(tmp_path):
+    text = f"""<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#">
+  <owl:Class rdf:about="{BASE}Alloy">
+    <rdfs:label rdf:parseType="Literal">Alloy <b>metal</b></rdfs:label>
+    <rdfs:comment rdf:parseType="Literal"><p>Made of <owl:Class rdf:about="{BASE}Markup"/>two</p> metals</rdfs:comment>
+    <rdfs:subClassOf rdf:resource="{BASE}Metal"/>
+  </owl:Class>
+</rdf:RDF>
+"""
+    path = tmp_path / "literal.owl"
+    path.write_text(text, encoding="utf-8")
+    assert parse_ontology(path).concepts == (
+        ConceptRecord(iri=BASE + "Alloy", label="Alloy metal", comment="Made of two metals", parents=(BASE + "Metal",)),
+        ConceptRecord(iri=BASE + "Metal", label="Metal", children=(BASE + "Alloy",)),
+    )
+
+
+def test_parse_type_resource_is_a_blank_node_whose_nested_classes_survive(tmp_path):
+    text = f"""<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#">
+  <owl:Class rdf:about="{BASE}Steel">
+    <rdfs:subClassOf rdf:parseType="Resource">
+      <rdf:type rdf:resource="http://www.w3.org/2002/07/owl#Restriction"/>
+      <owl:onProperty rdf:resource="{BASE}hasPart"/>
+      <owl:someValuesFrom>
+        <owl:Class rdf:about="{BASE}Carbon"><rdfs:label>Carbon</rdfs:label></owl:Class>
+      </owl:someValuesFrom>
+      <rdfs:label>the blank node's label</rdfs:label>
+    </rdfs:subClassOf>
+    <rdfs:label>Steel</rdfs:label>
+    <rdfs:subClassOf rdf:resource="{BASE}Alloy"/>
+  </owl:Class>
+</rdf:RDF>
+"""
+    path = tmp_path / "resource.owl"
+    path.write_text(text, encoding="utf-8")
+    assert parse_ontology(path).concepts == (
+        ConceptRecord(iri=BASE + "Alloy", label="Alloy", children=(BASE + "Steel",)),
+        ConceptRecord(iri=BASE + "Carbon", label="Carbon"),
+        ConceptRecord(iri=BASE + "Steel", label="Steel", parents=(BASE + "Alloy",)),
+    )
+
+
 def test_rdf_id_resolves_against_xml_base(tmp_path):
     text = """<?xml version="1.0"?>
 <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -601,6 +649,17 @@ def test_rdfxml_and_turtle_of_one_ontology_parse_to_equal_concepts(tmp_path, con
     ttl_path = tmp_path / "onto.ttl"
     _write_turtle(ttl_path, concepts)
     assert parse_ontology(ttl_path).concepts == parse_ontology(xml_path).concepts
+
+
+def test_parents_and_children_are_sorted_whatever_the_declaration_order(tmp_path):
+    parents = [f"{BASE}P{i}" for i in (5, 2, 0, 6, 4, 1, 3)]
+    concepts = [{"iri": BASE + "Child", "labels": [], "synonyms": [], "comment": None, "parents": parents}]
+    ttl_path = tmp_path / "onto.ttl"
+    _write_turtle(ttl_path, concepts)
+    for path in (write_rdfxml(tmp_path / "onto.owl", concepts), ttl_path):
+        child, *rest = parse_ontology(path).concepts
+        assert child.parents == tuple(f"{BASE}P{i}" for i in range(7))
+        assert [concept.children for concept in rest] == [(BASE + "Child",)] * 7
 
 
 def test_repeated_subclass_statement_lists_parent_and_child_once(tmp_path):

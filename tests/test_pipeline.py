@@ -5,14 +5,14 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import ontology_from_labels, write_rdfxml, write_reference_xml
+from conftest import RecordingClient, ontology_from_labels, write_rdfxml, write_reference_xml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ontomatch import pipeline
 from ontomatch.errors import ConfigError
 from ontomatch.fuzzy import FuzzyConfig
-from ontomatch.llm import Decision, LLMConfig, MockLLMClient
+from ontomatch.llm import LLMConfig, MockLLMClient
 from ontomatch.parsing import load_json_alignment, parse_reference_alignment
 from ontomatch.pipeline import (
     PipelineConfig,
@@ -26,17 +26,6 @@ from ontomatch.retrieval import RetrievalConfig
 
 SRC_BASE = "http://example.org/a#"
 TGT_BASE = "http://example.org/b#"
-
-
-class RecordingClient:
-    """Says yes to everything; keeps the prompts for inspection."""
-
-    def __init__(self):
-        self.items = []
-
-    def decide_many(self, items):
-        self.items.extend(items)
-        return [Decision(label="yes", confidence=1.0) for _ in items]
 
 
 @pytest.fixture()
@@ -203,7 +192,7 @@ def test_llm_run_maps_completions_to_decisions(tmp_path):
         method="llm",
         output_path=str(tmp_path / "alignment.xml"),
     )
-    correspondences, report = run_pipeline(cfg, llm_client=MockLLMClient())
+    correspondences, report = run_pipeline(cfg, llm_client=MockLLMClient(PromptTemplate()))
     assert [(c.source, c.target, c.score) for c in correspondences] == [
         (f"{SRC_BASE}C000", f"{TGT_BASE}C000", 1.0)
     ]
@@ -219,8 +208,8 @@ def test_rag_method_runs_zero_shot(corpus_paths, tmp_path):
         rag=RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
     )
     _, report = run_pipeline(cfg, llm_client=client)
-    assert client.items and all(
-        prompt.count("### Answer:") == 1 for prompt, _ in client.items
+    assert client.prompts and all(
+        prompt.count("### Answer:") == 1 for prompt in client.prompts
     )
     assert report.seconds["encode"] == 0.0
     assert report.config["rag"]["shots"] is None
@@ -232,7 +221,7 @@ def test_shots_that_contradict_the_method_are_rejected(corpus_paths, tmp_path, m
     cfg = base_config(corpus_paths, tmp_path, method=method, rag=RAGConfig(shots=shots))
     with pytest.raises(ConfigError, match=other):
         run_pipeline(cfg, llm_client=client)
-    assert client.items == []
+    assert client.prompts == []
 
 
 def test_fewshot_rag_defaults_to_two_shots(corpus_paths, tmp_path):
@@ -243,8 +232,8 @@ def test_fewshot_rag_defaults_to_two_shots(corpus_paths, tmp_path):
         rag=RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
     )
     run_pipeline(cfg, llm_client=client)
-    assert client.items and all(
-        prompt.count("### Answer:") == 3 for prompt, _ in client.items
+    assert client.prompts and all(
+        prompt.count("### Answer:") == 3 for prompt in client.prompts
     )
 
 
@@ -256,8 +245,8 @@ def test_fewshot_rag_respects_explicit_shot_count(corpus_paths, tmp_path):
         rag=RAGConfig(shots=1, retrieval=RetrievalConfig(top_k=1, threshold=0.9)),
     )
     run_pipeline(cfg, llm_client=client)
-    assert client.items and all(
-        prompt.count("### Answer:") == 2 for prompt, _ in client.items
+    assert client.prompts and all(
+        prompt.count("### Answer:") == 2 for prompt in client.prompts
     )
 
 
@@ -272,9 +261,8 @@ def test_rag_prompts_follow_the_top_level_view(tmp_path):
         output_path=str(tmp_path / "alignment.xml"),
     )
     run_pipeline(cfg, llm_client=client)
-    prompts = [prompt for prompt, _ in client.items]
-    assert len(prompts) == 2
-    assert any("### First concept: steel, parents: alloy\n" in prompt for prompt in prompts)
+    assert len(client.prompts) == 2
+    assert any("### First concept: steel, parents: alloy\n" in prompt for prompt in client.prompts)
 
 
 def test_json_reference_files_are_accepted(corpus_paths, tmp_path):

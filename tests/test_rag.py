@@ -9,12 +9,14 @@ import math
 import time
 
 import pytest
-from conftest import make_corpus, make_ontology
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import FlakyClient, RecordingClient, RuleClient, make_corpus, make_ontology
 
 from ontomatch.encoding import EncodingView
 from ontomatch.errors import ConfigError, PairCapExceeded, TemplateError
 from ontomatch.fuzzy import fuzzy_ratio
-from ontomatch.llm import Decision, LLMConfig, MockLLMClient
+from ontomatch.llm import LLMConfig
 from ontomatch.parsing import ConceptRecord, Ontology
 from ontomatch.rag import (
     DEFAULT_EXEMPLARS,
@@ -32,34 +34,6 @@ PREAMBLE = (
     "Classify if the two concepts refer to the same real-world entity. "
     "Answer with yes or no."
 )
-
-
-class RecordingClient:
-    """Answers yes to everything and keeps the prompts it was asked."""
-
-    def __init__(self, confidence: float = 1.0):
-        self.items: list[tuple[str, tuple[str, str] | None]] = []
-        self.confidence = confidence
-
-    def decide_many(self, items):
-        self.items.extend(items)
-        label = "yes" if self.confidence >= 0.5 else "no"
-        return [Decision(label=label, confidence=self.confidence) for _ in items]
-
-
-class FlakyClient(MockLLMClient):
-    """Raises on the n-th batch to simulate an interrupted run."""
-
-    def __init__(self, fail_on_batch: int, **kwargs):
-        super().__init__(**kwargs)
-        self.fail_on_batch = fail_on_batch
-        self.batches = 0
-
-    def decide_many(self, items):
-        self.batches += 1
-        if self.batches == self.fail_on_batch:
-            raise RuntimeError("simulated crash")
-        return super().decide_many(items)
 
 
 # -- prompts -------------------------------------------------------------------
@@ -107,6 +81,34 @@ def test_templates_require_each_placeholder_exactly_once(template):
         template.validate()
     with pytest.raises(TemplateError):
         build_prompt("a", "b", DEFAULT_EXEMPLARS[:1], template)
+
+
+# Literals and texts come from disjoint alphabets, so no text contains a literal.
+_LITERAL = st.text(alphabet="#:|>= \n", max_size=4)
+_TEXT = st.text(alphabet="abcxyz019,()-", max_size=12)
+
+
+@st.composite
+def _prompted_texts(draw):
+    shots = tuple(draw(st.lists(st.builds(Exemplar, _TEXT, _TEXT, st.sampled_from(["yes", "no"])), max_size=3)))
+    first, second = draw(st.permutations(["{src}", "{tgt}"]))
+    shot_closing = draw(_LITERAL)
+    # After shots, a literal must mark where the query block starts: the
+    # block's opening or the shot block's closing (query_texts' documented limit).
+    opening = draw(_LITERAL.filter(bool) if shots and not shot_closing else _LITERAL)
+    template = PromptTemplate(
+        preamble=draw(_LITERAL),
+        query_block=opening + first + draw(_LITERAL.filter(bool)) + second + draw(_LITERAL),
+        shot_block=draw(_LITERAL) + "{src}" + draw(_LITERAL) + "{tgt}" + draw(_LITERAL) + "{answer}" + shot_closing,
+    )
+    return template, draw(_TEXT), draw(_TEXT), shots
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_prompted_texts())
+def test_query_texts_reads_back_the_texts_build_prompt_rendered(case):
+    template, source_text, target_text, shots = case
+    assert template.query_texts(build_prompt(source_text, target_text, shots, template)) == (source_text, target_text)
 
 
 def test_exemplar_answers_are_checked():
@@ -178,7 +180,7 @@ def test_pairwise_drops_answers_that_say_neither_yes_nor_no(http_server):
 def test_pairwise_refuses_oversized_products_before_any_request():
     src = make_corpus([f"s{i}" for i in range(3)])
     tgt = make_corpus([f"t{i}" for i in range(4)], prefix="http://example.org/b#")
-    client = MockLLMClient()
+    client = RuleClient()
     with pytest.raises(PairCapExceeded):
         align_llm_pairwise(src, tgt, LLMConfig(), pair_cap=11, client=client)
     assert client.call_count == 0
@@ -187,7 +189,7 @@ def test_pairwise_refuses_oversized_products_before_any_request():
 def test_pairwise_batches_cover_all_pairs():
     src = make_corpus([f"s{i}" for i in range(3)])
     tgt = make_corpus([f"t{i}" for i in range(5)], prefix="http://example.org/b#")
-    client = MockLLMClient(rules={})
+    client = RuleClient(rules={})
     align_llm_pairwise(src, tgt, LLMConfig(batch_size=4), client=client)
     assert client.call_count == 15
 
@@ -257,7 +259,7 @@ def test_rag_over_http_closes_the_connections_it_opened(keepalive_server):
 def test_rag_output_is_a_subset_of_the_retrieval_shortlist():
     source, target = rag_fixtures()
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=5, threshold=0.4))
-    client = MockLLMClient()
+    client = RuleClient()
     out = align_rag(source, target, cfg, client=client)
     # distinct single-token labels share no TF-IDF terms, so only the five
     # identical pairs survive retrieval and only those reach the model
@@ -270,7 +272,7 @@ def test_rag_threshold_boundary_and_validation():
     rules = {(label, label): 0.99 for label in LABELS}
     rules[("alloy", "alloy")] = 1.0
     cfg = RAGConfig(llm_threshold=1.0)
-    out = align_rag(source, target, cfg, client=MockLLMClient(rules=rules))
+    out = align_rag(source, target, cfg, client=RuleClient(rules=rules))
     assert [(c.source, c.target) for c in out] == [
         (source.concepts[0].iri, target.concepts[0].iri)
     ]
@@ -287,7 +289,7 @@ def test_rag_orders_by_source_then_confidence_then_target():
         ("alpha", "delta"): 0.9,
     }
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=3, threshold=0.0))
-    out = align_rag(source, target, cfg, client=MockLLMClient(rules=rules))
+    out = align_rag(source, target, cfg, client=RuleClient(rules=rules))
     assert [(c.target, c.score) for c in out] == [
         (target.concepts[2].iri, 0.9),
         (target.concepts[0].iri, 0.8),
@@ -309,16 +311,14 @@ def test_fewshot_prompts_carry_the_exemplars_in_order():
     source, target = rag_fixtures()
     client = RecordingClient()
     align_rag(source, target, RAGConfig(shots=2, retrieval=RetrievalConfig(top_k=1, threshold=0.9)), client=client)
-    assert len(client.items) == 5
-    prompt, meta = client.items[0]
-    assert meta == ("alloy", "alloy")
-    assert prompt == build_prompt("alloy", "alloy", DEFAULT_EXEMPLARS)
+    assert len(client.prompts) == 5
+    assert client.prompts[0] == build_prompt("alloy", "alloy", DEFAULT_EXEMPLARS)
 
 
 def test_shots_beyond_available_exemplars_rejected():
     source, target = rag_fixtures()
     with pytest.raises(ConfigError):
-        align_rag(source, target, RAGConfig(shots=3), client=MockLLMClient())
+        align_rag(source, target, RAGConfig(shots=3), client=RuleClient())
 
 
 def test_exemplars_file_overrides_the_builtin_examples(tmp_path):
@@ -335,7 +335,7 @@ def test_exemplars_file_overrides_the_builtin_examples(tmp_path):
         retrieval=RetrievalConfig(top_k=1, threshold=0.9),
     )
     align_rag(source, target, cfg, client=client)
-    prompt, _ = client.items[0]
+    prompt = client.prompts[0]
     assert "### First concept: metal\n### Second concept: metallic\n### Answer: yes\n" in prompt
 
 
@@ -359,9 +359,9 @@ def test_retrieval_sees_plain_labels_while_prompts_carry_hierarchy():
     out = align_rag(source, target, cfg, view=EncodingView.CC, client=client)
     # identical plain labels matched despite the view asking for children
     assert len(out) == 2
-    prompts = [prompt for prompt, _ in client.items]
-    assert any("alloy, children: steel" in prompt for prompt in prompts)
-    assert all(meta in [("alloy", "alloy"), ("steel", "steel")] for _, meta in client.items)
+    assert sorted(PromptTemplate().query_texts(prompt) for prompt in client.prompts) == [
+        ("alloy, children: steel", "alloy, children: steel"), ("steel", "steel"),
+    ]
 
 
 def test_journal_resume_skips_already_decided_pairs(tmp_path):
@@ -378,7 +378,7 @@ def test_journal_resume_skips_already_decided_pairs(tmp_path):
     first_pass = journal.read_text(encoding="utf-8").strip().splitlines()
     assert len(first_pass) == 2  # one completed batch of two decisions
 
-    resumed_client = MockLLMClient()
+    resumed_client = RuleClient()
     resumed = align_rag(source, target, cfg, client=resumed_client)
     assert resumed_client.call_count == 3  # only the undecided pairs
     assert len(journal.read_text(encoding="utf-8").strip().splitlines()) == 5
@@ -396,11 +396,11 @@ def test_a_torn_last_journal_line_is_asked_again_once(tmp_path, caplog):
     data = journal.read_bytes()
     journal.write_bytes(data[:data.rindex(b"\n", 0, -1) + 20])  # cut mid-way through the last line
 
-    first = MockLLMClient()
+    first = RuleClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         align_rag(source, target, cfg, client=first)
     assert first.call_count == 1  # only the torn pair
-    second = MockLLMClient()
+    second = RuleClient()
     align_rag(source, target, cfg, client=second)
     assert second.call_count == 0
     assert "journal line 5" in caplog.text
@@ -428,7 +428,7 @@ def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
     })
     journal.write_bytes(valid.encode("utf-8") + b"\nnot json at all\n\xff\xfe junk\n")
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
-    client = MockLLMClient()
+    client = RuleClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
     assert "journal line 2" in caplog.text
@@ -450,7 +450,7 @@ def test_journal_lines_with_unusable_confidences_are_asked_again(tmp_path, caplo
                              "confidence": 1.0}))
     journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
-    client = MockLLMClient()
+    client = RuleClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
     for line_no in (1, 2, 3):
