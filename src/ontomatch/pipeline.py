@@ -226,7 +226,7 @@ def run_pipeline(
             correspondences = align_llm_pairwise(
                 corpora[0], corpora[1], cfg.rag.llm,
                 template=cfg.rag.template, pair_cap=cfg.pair_cap,
-                client=llm_client,
+                journal_path=cfg.rag.journal_path, client=llm_client,
             )
         else:
             correspondences = align_rag(

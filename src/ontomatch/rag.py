@@ -12,18 +12,22 @@ using first-position token probabilities, keeping pairs whose
 yes-confidence reaches the threshold.  A fallback decision, made from the
 completion text because the provider sent no usable logprobs, has no
 confidence to threshold: it is kept when its label is "yes".  Few-shot
-prompting prepends worked examples.  Decided pairs (confidence, label and
-fallback flag) are appended to a JSON-lines journal per completed batch,
-so an interrupted run resumes without re-asking.
+prompting prepends worked examples.  Both aligners ask through one loop
+that appends each completed batch to a JSON-lines journal keyed by a hash
+of the request, so an interrupted run resumes without re-asking.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+import re
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .encoding import EncodedCorpus, EncodingView, encode, render_concept
 from .errors import ConfigError, PairCapExceeded, TemplateError
@@ -94,14 +98,11 @@ class PromptTemplate:
             TemplateError: the prompt does not end with this query block, or
                 the block has no literal between its placeholders.
         """
-        first, second = sorted(("{src}", "{tgt}"), key=self.query_block.index)
-        opening, rest = self.query_block.split(first)
-        middle, closing = rest.split(second)
+        opening, first, middle, second, closing = re.split(r"\{(src|tgt)\}", self.query_block)
         if not middle:
             raise TemplateError("query_block needs a literal between {src} and {tgt} to be read back")
         head, found, second_text = prompt[:len(prompt) - len(closing)].rpartition(middle)
-        anchor = opening or self.shot_block[max(
-            self.shot_block.index(p) + len(p) for p in ("{src}", "{tgt}", "{answer}")):]
+        anchor = opening or re.split(r"\{(?:src|tgt|answer)\}", self.shot_block)[-1]
         start = len(self.preamble) + 1
         at = head.rfind(anchor, start) if anchor else -1
         if not (found and prompt.endswith(closing)) or (opening and at < 0):
@@ -109,7 +110,7 @@ class PromptTemplate:
         if at >= 0:
             start = at + len(anchor)
         texts = (head[start:], second_text)
-        return texts if first == "{src}" else texts[::-1]
+        return texts if first == "src" else texts[::-1]
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ class RAGConfig:
             method takes any.
         exemplars: few-shot examples; ignored when zero-shot.
         exemplars_path: optional JSON file overriding ``exemplars``.
-        journal_path: optional JSON-lines checkpoint for resumable runs.
+        journal_path: optional JSON-lines checkpoint for resumable llm and
+            rag runs; a line is reused only for the same request.
     """
 
     retrieval: RetrievalConfig = field(default_factory=lambda: RetrievalConfig(top_k=5))
@@ -181,6 +183,11 @@ def load_exemplars(path: str | Path) -> tuple[Exemplar, ...]:
     return exemplars
 
 
+def _fill(block: str, **texts: str) -> str:
+    """``block`` with its placeholders filled in one pass: no text is scanned again."""
+    return re.sub(r"\{(src|tgt|answer)\}", lambda m: texts.get(m[1], m[0]), block)
+
+
 def build_prompt(
     source_text: str,
     target_text: str,
@@ -189,16 +196,8 @@ def build_prompt(
 ) -> str:
     """Assemble preamble, worked examples, and the query into one prompt."""
     template = template or PromptTemplate()
-    template.validate()
-    parts = [template.preamble, "\n"]
-    for shot in shots:
-        parts.append(
-            template.shot_block.replace("{src}", shot.source)
-            .replace("{tgt}", shot.target)
-            .replace("{answer}", shot.answer)
-        )
-    parts.append(template.query_block.replace("{src}", source_text).replace("{tgt}", target_text))
-    return "".join(parts)
+    examples = "".join(_fill(template.shot_block, src=s.source, tgt=s.target, answer=s.answer) for s in shots)
+    return f"{template.preamble}\n{examples}{_fill(template.query_block, src=source_text, tgt=target_text)}"
 
 
 def _query(source: EncodedCorpus, target: EncodedCorpus, i: int, j: int,
@@ -213,6 +212,58 @@ def _query(source: EncodedCorpus, target: EncodedCorpus, i: int, j: int,
     )
 
 
+def _load_journal(path: str) -> dict[str, Decision]:
+    """The journal's usable decisions by request key.  A journal cut mid-line
+    (by a crash while writing) is ended first, so appends start a new line."""
+    decided: dict[str, Decision] = {}
+    data = Path(path).read_bytes() if os.path.exists(path) else b""
+    for line_no, line in enumerate(data.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line.decode("utf-8"))
+            key, confidence = entry["key"], entry["confidence"]
+            label, fallback = entry["label"], entry["fallback"]
+            # A line lacking a string key, a confidence in [0, 1] (not a bool, NaN,
+            # 1.5), a yes/no label or a bool fallback flag is as unusable as a torn one.
+            if (type(key) is str and type(confidence) in (int, float) and 0.0 <= confidence <= 1.0
+                    and label in ("yes", "no") and type(fallback) is bool):
+                decided[key] = Decision(label, float(confidence), fallback)
+                continue
+        except (ValueError, KeyError, TypeError):  # ValueError: not UTF-8, or not JSON
+            pass
+        logger.warning("skipping malformed journal line %d in %s", line_no, path)
+    if data and not data.endswith(b"\n"):
+        with open(path, "ab") as journal:
+            journal.write(b"\n")
+    return decided
+
+
+def _ask(prompts: Sequence[str], kind: str, cfg: LLMConfig,
+         decide: Callable[[list[str]], list[Decision]], journal_path: str | None) -> list[Decision]:
+    """One decision per prompt: the journal's for a key it held at the start,
+    else ``decide``'s, asked in ``batch_size`` chunks, each appended to the
+    journal and synced before the next.  A key is a SHA-256 of the decision
+    ``kind`` ("text" or "logprob"), the settings sent and the prompt, which
+    carries the template, shots and view; a repeated prompt is asked again."""
+    request = [kind, cfg.endpoint, cfg.model_id, float(cfg.temperature), cfg.max_new_tokens]
+    keys = [hashlib.sha256(json.dumps([*request, p]).encode("utf-8")).hexdigest() for p in prompts]
+    decided = _load_journal(journal_path) if journal_path else {}
+    decisions = [decided.get(key) for key in keys]
+    pending = [n for n, decision in enumerate(decisions) if decision is None]
+    for start in range(0, len(pending), cfg.batch_size):
+        batch = pending[start:start + cfg.batch_size]
+        for n, decision in zip(batch, decide([prompts[n] for n in batch])):
+            decisions[n] = decision
+        if journal_path:
+            with open(journal_path, "a", encoding="utf-8") as journal:
+                journal.writelines(json.dumps({**asdict(decisions[n]), "key": keys[n]}, sort_keys=True) + "\n"
+                                   for n in batch)
+                journal.flush()
+                os.fsync(journal.fileno())
+    return decisions
+
+
 # --------------------------------------------------------------------------
 # Exhaustive pairwise alignment
 # --------------------------------------------------------------------------
@@ -225,65 +276,44 @@ def align_llm_pairwise(
     *,
     template: PromptTemplate | None = None,
     pair_cap: int = DEFAULT_PAIR_CAP,
+    journal_path: str | None = None,
     client=None,
 ) -> list[Correspondence]:
     """Ask the model about every pair; keep the pairs it answers yes to.
 
+    With ``journal_path`` the run resumes as :func:`align_rag` does; a line
+    holds the answer's label as a fallback decision at a flat 0.5.
+
     Raises:
         PairCapExceeded: |source| * |target| exceeds ``pair_cap``.
+        TemplateError: ``template`` lacks a placeholder or repeats one.
     """
     cfg.validate()
+    template = template or PromptTemplate()
+    template.validate()
     total = len(source.texts) * len(target.texts)
     if total > pair_cap:
         raise PairCapExceeded(
             f"{len(source.texts)}x{len(target.texts)} = {total} pairs exceed the cap of {pair_cap}"
         )
-    template = template or PromptTemplate()
 
     pairs = [(i, j) for i in range(len(source.texts)) for j in range(len(target.texts))]
-    out: list[Correspondence] = []
+    prompts = [_query(source, target, i, j, (), template) for i, j in pairs]
     with ExitStack() as owned:
         if client is None:
             client = owned.enter_context(closing(make_llm_client(cfg, template)))
-        for start in range(0, len(pairs), cfg.batch_size):
-            batch = pairs[start:start + cfg.batch_size]
-            prompts = [_query(source, target, i, j, (), template) for i, j in batch]
-            for (i, j), generated in zip(batch, client.complete_many(prompts)):
-                if read_answer(generated) == "yes":
-                    out.append(Correspondence(source.iris[i], target.iris[j], "=", 1.0, "llm:pairwise"))
-    return out
+        decisions = _ask(prompts, "text", cfg, lambda batch: [
+            Decision(read_answer(text), 0.5, fallback=True) for text in client.complete_many(batch)
+        ], journal_path)
+    return [
+        Correspondence(source.iris[i], target.iris[j], "=", 1.0, "llm:pairwise")
+        for (i, j), decision in zip(pairs, decisions) if decision.label == "yes"
+    ]
 
 
 # --------------------------------------------------------------------------
 # Retrieve-then-generate alignment
 # --------------------------------------------------------------------------
-
-
-def _load_journal(path: str) -> tuple[dict[tuple[str, str], Decision], bool]:
-    """The journal's usable decisions, and whether it ends mid-line (a run
-    cut while writing), so the next append must start on a new line."""
-    decided: dict[tuple[str, str], Decision] = {}
-    journal = Path(path)
-    if not journal.exists():
-        return decided, False
-    data = journal.read_bytes()
-    for line_no, line in enumerate(data.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line.decode("utf-8"))
-            confidence, label, fallback = entry["confidence"], entry["label"], entry["fallback"]
-            # A confidence that is not a number in [0, 1] (a bool, NaN, 1.5), a
-            # label other than yes/no or a fallback flag that is not a bool is as
-            # unusable as a torn line, and so is a line that lacks label/fallback.
-            if (type(confidence) in (int, float) and 0.0 <= confidence <= 1.0
-                    and label in ("yes", "no") and type(fallback) is bool):
-                decided[(entry["source"], entry["target"])] = Decision(label, float(confidence), fallback)
-                continue
-        except (ValueError, KeyError, TypeError):  # ValueError: not UTF-8, or not JSON
-            pass
-        logger.warning("skipping malformed journal line %d in %s", line_no, path)
-    return decided, bool(data) and not data.endswith(b"\n")
 
 
 def align_rag(
@@ -299,7 +329,8 @@ def align_rag(
 
     Retrieval always runs over C-view texts; prompts render ``view``.
     Output is sorted by source concept, then descending confidence, then
-    target IRI.
+    target IRI.  With ``cfg.journal_path`` a rerun reuses the decisions
+    journaled for the same requests and asks the rest.
     """
     cfg.validate()
     exemplars = load_exemplars(cfg.exemplars_path) if cfg.exemplars_path else cfg.exemplars
@@ -316,45 +347,20 @@ def align_rag(
     tgt_index = {iri: i for i, iri in enumerate(tgt_corpus.iris)}
 
     candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider)
-    pairs = [(src_index[c.source], tgt_index[c.target]) for c in candidates]
+    prompts = [_query(src_prompts, tgt_prompts, src_index[c.source], tgt_index[c.target], shots, cfg.template)
+               for c in candidates]
 
-    decided, torn = _load_journal(cfg.journal_path) if cfg.journal_path else ({}, False)
-    pending = [
-        (i, j) for i, j in pairs
-        if (src_corpus.iris[i], tgt_corpus.iris[j]) not in decided
-    ]
-
-    journal = Path(cfg.journal_path) if cfg.journal_path else None
     with ExitStack() as owned:
         if client is None:  # even with nothing to ask: an LLM run names its endpoint
             client = owned.enter_context(closing(make_llm_client(cfg.llm, cfg.template)))
-        for start in range(0, len(pending), cfg.llm.batch_size):
-            batch = pending[start:start + cfg.llm.batch_size]
-            prompts = [_query(src_prompts, tgt_prompts, i, j, shots, cfg.template) for i, j in batch]
-            decisions = client.decide_many(prompts)
-            lines = []
-            for (i, j), decision in zip(batch, decisions):
-                key = (src_corpus.iris[i], tgt_corpus.iris[j])
-                decided[key] = decision
-                lines.append(json.dumps(
-                    {"source": key[0], "target": key[1], "confidence": decision.confidence,
-                     "label": decision.label, "fallback": decision.fallback},
-                    sort_keys=True,
-                ))
-            if journal is not None and lines:
-                with journal.open("a", encoding="utf-8") as fh:
-                    fh.write(("\n" if torn else "") + "\n".join(lines) + "\n")
-                    fh.flush()
-                torn = False
+        decisions = _ask(prompts, "logprob", cfg.llm, client.decide_many, cfg.journal_path)
 
     provenance = "rag:fewshot" if cfg.shots else "rag"
-    out = []
-    for i, j in pairs:
-        decision = decided[(src_corpus.iris[i], tgt_corpus.iris[j])]
+    out = [
+        Correspondence(c.source, c.target, "=", decision.confidence, provenance)
+        for c, decision in zip(candidates, decisions)
         # A fallback's flat 0.5 is no confidence; its label decides.
-        if (decision.label == "yes") if decision.fallback else (decision.confidence >= cfg.llm_threshold):
-            out.append(Correspondence(
-                src_corpus.iris[i], tgt_corpus.iris[j], "=", decision.confidence, provenance,
-            ))
+        if ((decision.label == "yes") if decision.fallback else (decision.confidence >= cfg.llm_threshold))
+    ]
     out.sort(key=lambda c: (src_index[c.source], -c.score, c.target))
     return out

@@ -200,6 +200,18 @@ def test_llm_run_maps_completions_to_decisions(tmp_path):
     assert report.seconds["encode"] > -1  # encode stage actually timed
 
 
+def test_an_llm_run_resumes_from_the_rag_journal_path(corpus_paths, tmp_path):
+    journal = tmp_path / "llm.jsonl"
+    cfg = base_config(corpus_paths, tmp_path, method="llm",
+                      rag=RAGConfig(llm=LLMConfig(endpoint="mock:"), journal_path=str(journal)))
+    first, _ = run_pipeline(cfg)
+    lines = journal.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 16  # one per pair of the 4x4 product
+    client = RecordingClient()
+    assert run_pipeline(cfg, llm_client=client)[0] == first
+    assert client.prompts == [] and journal.read_text(encoding="utf-8").splitlines() == lines
+
+
 def test_rag_method_runs_zero_shot(corpus_paths, tmp_path):
     client = RecordingClient()
     cfg = base_config(

@@ -7,13 +7,14 @@ import json
 import logging
 import math
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import FlakyClient, RecordingClient, RuleClient, make_corpus, make_ontology
 
-from ontomatch.encoding import EncodingView
+from ontomatch.encoding import EncodingView, encode
 from ontomatch.errors import ConfigError, PairCapExceeded, TemplateError
 from ontomatch.fuzzy import fuzzy_ratio
 from ontomatch.llm import LLMConfig
@@ -77,38 +78,64 @@ def test_custom_template_and_literal_braces():
     ],
 )
 def test_templates_require_each_placeholder_exactly_once(template):
+    # A run validates its template once, up front, not on every prompt.
     with pytest.raises(TemplateError):
         template.validate()
     with pytest.raises(TemplateError):
-        build_prompt("a", "b", DEFAULT_EXEMPLARS[:1], template)
+        RAGConfig(template=template).validate()
+    client = RuleClient()
+    with pytest.raises(TemplateError):
+        align_llm_pairwise(make_corpus(["a"]), make_corpus(["b"]), LLMConfig(), template=template, client=client)
+    assert client.call_count == 0
 
 
-# Literals and texts come from disjoint alphabets, so no text contains a literal.
+# Literals and texts come from disjoint alphabets, so no text contains a
+# literal; a text may hold the template's placeholders.
 _LITERAL = st.text(alphabet="#:|>= \n", max_size=4)
-_TEXT = st.text(alphabet="abcxyz019,()-", max_size=12)
+_TEXT = st.lists(
+    st.sampled_from(["a", "b", "x", "0", "9", ",", "(", ")", "-", "{", "}", "{src}", "{tgt}", "{answer}"]),
+    max_size=6,
+).map("".join)
 
 
 @st.composite
 def _prompted_texts(draw):
+    """A template, two texts and shots, and the prompt they render to,
+    assembled from the template's literals."""
     shots = tuple(draw(st.lists(st.builds(Exemplar, _TEXT, _TEXT, st.sampled_from(["yes", "no"])), max_size=3)))
     first, second = draw(st.permutations(["{src}", "{tgt}"]))
-    shot_closing = draw(_LITERAL)
+    shot_literals = [draw(_LITERAL) for _ in range(4)]
     # After shots, a literal must mark where the query block starts: the
     # block's opening or the shot block's closing (query_texts' documented limit).
-    opening = draw(_LITERAL.filter(bool) if shots and not shot_closing else _LITERAL)
+    opening = draw(_LITERAL.filter(bool) if shots and not shot_literals[3] else _LITERAL)
+    middle, closing, preamble = draw(_LITERAL.filter(bool)), draw(_LITERAL), draw(_LITERAL)
     template = PromptTemplate(
-        preamble=draw(_LITERAL),
-        query_block=opening + first + draw(_LITERAL.filter(bool)) + second + draw(_LITERAL),
-        shot_block=draw(_LITERAL) + "{src}" + draw(_LITERAL) + "{tgt}" + draw(_LITERAL) + "{answer}" + shot_closing,
+        preamble=preamble,
+        query_block=opening + first + middle + second + closing,
+        shot_block="{src}".join(shot_literals[:2]) + "{tgt}" + "{answer}".join(shot_literals[2:]),
     )
-    return template, draw(_TEXT), draw(_TEXT), shots
+    source_text, target_text = draw(_TEXT), draw(_TEXT)
+    texts = {"{src}": source_text, "{tgt}": target_text}
+    prompt = preamble + "\n" + "".join(
+        shot_literals[0] + shot.source + shot_literals[1] + shot.target + shot_literals[2] + shot.answer
+        + shot_literals[3] for shot in shots
+    ) + opening + texts[first] + middle + texts[second] + closing
+    return template, source_text, target_text, shots, prompt
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_prompted_texts())
 def test_query_texts_reads_back_the_texts_build_prompt_rendered(case):
-    template, source_text, target_text, shots = case
-    assert template.query_texts(build_prompt(source_text, target_text, shots, template)) == (source_text, target_text)
+    template, source_text, target_text, shots, prompt = case
+    assert build_prompt(source_text, target_text, shots, template) == prompt  # every text verbatim
+    assert template.query_texts(prompt) == (source_text, target_text)
+
+
+def test_a_text_holding_a_placeholder_is_not_filled_again():
+    prompt = build_prompt("set {tgt}", "alloy", (Exemplar("{answer}", "{src}", "no"),))
+    assert prompt.endswith("### First concept: set {tgt}\n### Second concept: alloy\n### Answer: ")
+    assert "### First concept: {answer}\n### Second concept: {src}\n### Answer: no\n" in prompt
+    assert PromptTemplate().query_texts(prompt) == ("set {tgt}", "alloy")
 
 
 def test_exemplar_answers_are_checked():
@@ -413,21 +440,27 @@ def test_journal_entries_are_sorted_json_objects(tmp_path):
     align_rag(source, target, cfg)
     for line in journal.read_text(encoding="utf-8").strip().splitlines():
         entry = json.loads(line)
-        assert list(entry) == ["confidence", "fallback", "label", "source", "target"]
+        assert list(entry) == ["confidence", "fallback", "key", "label"]
+
+
+def _journal_keys(tmp_path, source, target, cfg):
+    """The request keys a run of ``cfg`` journals, one per pair in pair order."""
+    scratch = tmp_path / "keys.jsonl"
+    align_rag(source, target, replace(cfg, journal_path=str(scratch)), client=RuleClient())
+    return [json.loads(line)["key"] for line in scratch.read_text(encoding="utf-8").splitlines()]
 
 
 def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
     journal = tmp_path / "run.jsonl"
     source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
     valid = json.dumps({
-        "source": source.concepts[0].iri,
-        "target": target.concepts[0].iri,
+        "key": _journal_keys(tmp_path, source, target, cfg)[0],
         "confidence": 1.0,
         "label": "yes",
         "fallback": False,
     })
     journal.write_bytes(valid.encode("utf-8") + b"\nnot json at all\n\xff\xfe junk\n")
-    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
     client = RuleClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
@@ -440,16 +473,15 @@ def test_corrupted_journal_lines_warn_and_are_skipped(tmp_path, caplog):
 def test_journal_lines_with_unusable_confidences_are_asked_again(tmp_path, caplog):
     journal = tmp_path / "run.jsonl"
     source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    keys = _journal_keys(tmp_path, source, target, cfg)
     lines = [
-        json.dumps({"source": source.concepts[i].iri, "target": target.concepts[i].iri,
-                    "confidence": confidence, "label": "yes", "fallback": False})
+        json.dumps({"key": keys[i], "confidence": confidence, "label": "yes", "fallback": False})
         for i, confidence in ((0, math.nan), (1, 1.5))
     ]
     # a line written before decisions were journaled with their label
-    lines.append(json.dumps({"source": source.concepts[2].iri, "target": target.concepts[2].iri,
-                             "confidence": 1.0}))
+    lines.append(json.dumps({"key": keys[2], "confidence": 1.0}))
     journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
     client = RuleClient()
     with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
         out = align_rag(source, target, cfg, client=client)
@@ -500,3 +532,101 @@ def test_journaled_fallbacks_resume_by_their_label(tmp_path, http_server):
     asked = len(http_server.requests)
     assert align_rag(source, target, cfg) == []  # every pair comes from the journal
     assert [r["path"] for r in http_server.requests[asked:]] == ["/v1/embeddings"] * 2
+
+
+# -- a journal keyed by the request ------------------------------------------------
+
+
+def _ring(base):
+    """LABELS as concepts whose parent is the next concept, round a ring, so
+    every CP prompt differs from the C prompt for the same pair."""
+    concepts = tuple(
+        ConceptRecord(iri=f"{base}C{i}", label=label, parents=(f"{base}C{(i + 1) % len(LABELS)}",))
+        for i, label in enumerate(LABELS)
+    )
+    return Ontology(concepts=concepts, source_path="<memory>", format="rdf-xml")
+
+
+_LLM = LLMConfig(endpoint="mock:", batch_size=2)
+
+
+@pytest.mark.parametrize("change,view", [
+    ({"llm": replace(_LLM, endpoint="http://127.0.0.1:9/v1/completions")}, EncodingView.C),
+    ({"llm": replace(_LLM, model_id="other")}, EncodingView.C),
+    ({"llm": replace(_LLM, temperature=0.7)}, EncodingView.C),
+    ({"llm": replace(_LLM, max_new_tokens=1)}, EncodingView.C),
+    ({"template": PromptTemplate(preamble="Same thing?")}, EncodingView.C),
+    ({"shots": 2}, EncodingView.C),
+    ({"exemplars": (Exemplar("metal", "metallic", "yes"),)}, EncodingView.C),
+    ({}, EncodingView.CP),
+], ids=["endpoint", "model_id", "temperature", "max_new_tokens", "template", "shots", "exemplars", "view"])
+def test_a_rerun_with_a_changed_request_asks_every_pair_again(tmp_path, change, view):
+    source, target = _ring("http://example.org/a#"), _ring("http://example.org/b#")
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), llm=_LLM, shots=1,
+                    journal_path=str(tmp_path / "run.jsonl"))
+    first, rerun = RecordingClient(), RecordingClient()
+    align_rag(source, target, cfg, client=first)
+    align_rag(source, target, replace(cfg, **change), view=view, client=rerun)
+    assert len(first.prompts) == len(rerun.prompts) == len(LABELS)
+
+
+@pytest.mark.parametrize("change", [
+    {"llm_threshold": 0.9},
+    {"llm": replace(_LLM, batch_size=3)},
+    {"llm": replace(_LLM, request_timeout=5.0)},
+], ids=["llm_threshold", "batch_size", "request_timeout"])
+def test_a_rerun_with_the_same_requests_asks_nothing(tmp_path, change):
+    source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), llm=_LLM,
+                    journal_path=str(tmp_path / "run.jsonl"))
+    first, rerun = RecordingClient(), RecordingClient()
+    assert align_rag(source, target, cfg, client=first) == align_rag(
+        source, target, replace(cfg, **change), client=rerun)
+    assert (len(first.prompts), len(rerun.prompts)) == (len(LABELS), 0)
+
+
+def test_an_interrupted_llm_run_resumes_to_the_bytes_of_an_uninterrupted_one(tmp_path):
+    src = make_corpus(LABELS)
+    tgt = make_corpus(LABELS, prefix="http://example.org/b#")
+    cfg = LLMConfig(batch_size=4)
+    clean_journal, journal = tmp_path / "clean.jsonl", tmp_path / "run.jsonl"
+    clean = align_llm_pairwise(src, tgt, cfg, journal_path=str(clean_journal), client=RuleClient())
+    with pytest.raises(RuntimeError):
+        align_llm_pairwise(src, tgt, cfg, journal_path=str(journal), client=FlakyClient(fail_on_batch=3))
+    assert len(journal.read_text(encoding="utf-8").splitlines()) == 8  # two completed chunks of four
+
+    resumed_client = RuleClient()
+    resumed = align_llm_pairwise(src, tgt, cfg, journal_path=str(journal), client=resumed_client)
+    assert resumed_client.call_count == len(LABELS) ** 2 - 8
+    assert resumed == clean and len(clean) == len(LABELS)
+    assert journal.read_bytes() == clean_journal.read_bytes()
+
+
+def test_llm_and_rag_sharing_a_journal_reuse_only_their_own_lines(tmp_path):
+    # Both methods send the same C-view prompt for a pair, but one reads the
+    # text and the other the logprobs: different decisions, different keys.
+    journal = str(tmp_path / "run.jsonl")
+    source, target = rag_fixtures()
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=journal)
+    corpora = encode(source, EncodingView.C), encode(target, EncodingView.C)
+    asked = []
+    for _ in range(2):
+        rag_client, llm_client = RuleClient(), RuleClient()
+        align_rag(source, target, cfg, client=rag_client)
+        align_llm_pairwise(*corpora, cfg.llm, journal_path=journal, client=llm_client)
+        asked += [rag_client.call_count, llm_client.call_count]
+    assert asked == [len(LABELS), len(LABELS) ** 2, 0, 0]
+
+
+def test_a_journal_line_without_a_key_is_asked_again(tmp_path, caplog):
+    journal = tmp_path / "run.jsonl"
+    source, target = rag_fixtures()
+    keyless = {"source": source.concepts[0].iri, "target": target.concepts[0].iri,
+               "confidence": 1.0, "label": "yes", "fallback": False}
+    journal.write_text(json.dumps(keyless, sort_keys=True) + "\n", encoding="utf-8")
+    cfg = RAGConfig(retrieval=RetrievalConfig(top_k=1, threshold=0.9), journal_path=str(journal))
+    client = RuleClient()
+    with caplog.at_level(logging.WARNING, logger="ontomatch.rag"):
+        align_rag(source, target, cfg, client=client)
+    assert client.call_count == len(LABELS)
+    assert "journal line 1" in caplog.text
