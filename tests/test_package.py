@@ -15,8 +15,10 @@ import ontomatch
 
 # Loaded only by the paths that call them: TF-IDF retrieval (scipy), HTTP
 # providers (urllib3, and http.client through it) and nothing (xml.sax, and
-# xml.etree, since both XML readers stream expat events).
-OPTIONAL_MODULES = ("scipy", "urllib3", "http.client", "xml.sax.saxutils", "xml.etree.ElementTree")
+# xml.etree, since both XML readers stream expat events; multiprocessing,
+# since every pool is a thread pool).
+OPTIONAL_MODULES = ("scipy", "urllib3", "http.client", "xml.sax.saxutils", "xml.etree.ElementTree",
+                    "multiprocessing")
 
 _PROBE = """
 import json, sys
@@ -37,6 +39,12 @@ def record(stage):
 
 record("import")
 source, target, reference, output = sys.argv[2:]
+# what a benchmark set-up probe does: build and validate a TF-IDF config
+PipelineConfig.from_dict({
+    "source_path": source, "target_path": target, "method": "retrieval", "view": "CP",
+    "retrieval": {"backend": "tfidf", "top_k": 10, "threshold": 0.2},
+}).validate()
+record("tfidf config")
 _, report = run_pipeline(PipelineConfig(
     source_path=source, target_path=target, reference_path=reference, output_path=output,
 ))
@@ -87,6 +95,7 @@ def test_optional_dependencies_load_only_on_the_paths_that_call_them(tmp_path):
     assert probe["f1"] == 100.0
     assert probe["loaded"] == {
         "import": [],
+        "tfidf config": [],
         "fuzzy run": [],
         "mock embedding retrieval": [],
         "tfidf retrieval": ["scipy"],

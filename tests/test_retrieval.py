@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
@@ -384,6 +385,62 @@ def test_sparse_topk_scratch_does_not_grow_with_the_targets(monkeypatch, n_targe
     assert peak < 2 * retrieval._SCRATCH_BYTES
 
 
+def test_sparse_topk_takes_one_block_when_only_the_marker_is_shared(monkeypatch):
+    # Each text is a word of its own plus "phase": no pair shares a term but
+    # "phase", so no row has candidates, and all 512 rows fit one block: the
+    # budget counts candidate pairs, not (row, target) pairs.
+    texts = [f"w{i} phase" for i in range(512 + 12000)]
+    model = TfidfModel().fit(texts)
+    src = VectorMatrix(values=model.transform(texts[:512]))
+    tgt = VectorMatrix(values=model.transform(texts[512:]))
+    spans = []
+    scorer = retrieval._sparse_scorer
+
+    def recording(*args):
+        found, score = scorer(*args)
+        spans.extend(found)
+        return found, score
+
+    monkeypatch.setattr(retrieval, "_sparse_scorer", recording)
+    monkeypatch.setattr(retrieval, "_worker_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        ranked = cosine_topk(src, tgt, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [span.tolist() for span in spans] == [list(range(512))]
+    assert peak < 2 * retrieval._SCRATCH_BYTES
+    # every target scores the same marker product, so the lowest indices win
+    assert all([j for j, _ in row] == [0, 1, 2, 3, 4] for row in ranked)
+    assert len({sim for row in ranked for _, sim in row}) == 1
+
+
+def test_rows_with_a_second_frequent_term_are_scored_whole(monkeypatch):
+    # "phase" is in every text and "process" in every odd one: an odd row
+    # could share it with half the targets, more scratch than a dense row
+    # of them all, so it is scored whole.  An even row shares "phase" and
+    # one of 20 group words, and is split; each kind has spans of its own.
+    def texts(prefix, count):
+        return [f"{prefix}{i} g{i % 20} phase" + (" process" if i % 2 else "") for i in range(count)]
+
+    model = TfidfModel().fit(texts("s", 60) + texts("t", 400))
+    src, tgt = model.transform(texts("s", 60)), model.transform(texts("t", 400))
+    spans = []
+    scorer = retrieval._sparse_scorer
+
+    def recording(*args):
+        found, score = scorer(*args)
+        spans.extend(span.tolist() for span in found)
+        return found, score
+
+    monkeypatch.setattr(retrieval, "_sparse_scorer", recording)
+    monkeypatch.setattr(retrieval, "_worker_count", lambda: 1)
+    assert cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), 5) == topk(src, tgt, 5)
+    assert sorted(i for span in spans for i in span) == list(range(60))
+    assert {frozenset(i % 2 for i in span) for span in spans} == {frozenset({0}), frozenset({1})}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_dense_topk_does_not_depend_on_the_worker_count(monkeypatch, workers):
     provider = MockEmbeddingProvider(dim=64, seed=7)
@@ -472,6 +529,140 @@ def test_topk_equals_the_oracle_on_random_inputs(pair, k, block_rows, workers):
             mock.patch.object(retrieval, "_worker_count", lambda: workers):
         got = cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), k)
     assert got == topk(src, tgt, k)
+
+
+def _descending(matrix):
+    """The same CSR matrix with each row stored in descending column order, as TF-IDF rows are."""
+    from scipy import sparse
+
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in zip(matrix.indptr, matrix.indptr[1:])]
+                           + [np.zeros(0, dtype=int)])
+    return sparse.csr_matrix((matrix.data[order], matrix.indices[order], matrix.indptr), shape=matrix.shape)
+
+
+# Dense-row costs that split every row off the marker, keep the rule (None), and score every row whole.
+_EVERY_ROW_KIND = (10**9, None, 0)
+
+
+def _row_kind(dense_bytes):
+    return contextlib.nullcontext() if dense_bytes is None else mock.patch.object(retrieval, "_DENSE_BYTES", dense_bytes)
+
+
+@st.composite
+def _marker_pairs(draw):
+    """Sparse rows that all store one shared column unless it draws 0, like CP texts' ``parents``."""
+    from scipy import sparse
+
+    m, n, d = draw(st.integers(1, 12)), draw(st.integers(0, 12)), draw(st.integers(2, 8))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.1, -0.1, 1 / 3, 1e8, -1e8, 3e-8]), st.floats(-1.0, 1.0))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+    marker = draw(st.integers(0, d - 1))
+    # few distinct marker values, so marker-only targets tie
+    marker_value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
+    src, tgt = (np.array([draw(st.sampled_from(rows)) for _ in range(size)]).reshape(size, d) for size in (m, n))
+    src[:, marker] = [draw(marker_value) for _ in range(m)]
+    tgt[:, marker] = [draw(marker_value) for _ in range(n)]
+    src = sparse.csr_matrix(src)
+    return (_descending(src) if draw(st.booleans()) else src), sparse.csr_matrix(tgt)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair=_marker_pairs(), k=st.integers(1, 14), block_rows=st.integers(1, 5), workers=st.integers(1, 3),
+       dense_bytes=st.sampled_from(_EVERY_ROW_KIND))
+def test_sparse_topk_with_a_shared_column_equals_the_oracle(pair, k, block_rows, workers, dense_bytes):
+    src, tgt = pair
+    with mock.patch.object(retrieval, "_BLOCK_ROWS", block_rows * workers), _row_kind(dense_bytes), \
+            mock.patch.object(retrieval, "_worker_count", lambda: workers):
+        got = cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), k)
+    assert got == topk(src, tgt, k)
+
+
+def _sparse_topk(source, target, k):
+    from scipy import sparse
+
+    src, tgt = sparse.csr_matrix(np.array(source, dtype=float)), sparse.csr_matrix(np.array(target, dtype=float))
+    expected = topk(src, tgt, k)
+    for dense_bytes in _EVERY_ROW_KIND:
+        with _row_kind(dense_bytes):
+            assert cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), k) == expected
+    return [[j for j, _ in row] for row in expected]
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5])
+def test_marker_only_ties_at_the_k_boundary_go_to_the_lower_index(a):
+    # Column 0 is the marker.  Targets 6 and 7 share column 1 with the
+    # source; targets 0-5 hold the marker only, all with one value, and
+    # rank after the two by index, whatever the sign of the marker product.
+    targets = [[0.2, 0.0]] * 6 + [[0.2, 1.0], [0.2, 2.0]]
+    assert _sparse_topk([[a, 1.0]], targets, 5) == [[7, 6, 0, 1, 2]]
+
+
+@pytest.mark.parametrize("a", [0.6, -0.6])
+def test_marker_products_that_round_equal_tie_by_index(a):
+    # b and the next float above it give the same product with a, so the
+    # lower index ranks first although the walk by b_m meets the other one
+    # first: for a > 0 the larger b_m comes first, for a < 0 the smaller.
+    b = next(b for b in np.linspace(0.5, 0.9, 1001) if a * b == a * np.nextafter(b, 1.0))
+    low, high = b, np.nextafter(b, 1.0)
+    # the two rank first, ahead of targets further down the walk
+    targets = [[low], [high], [0.1], [0.2]] if a > 0 else [[high], [low], [0.95], [0.99]]
+    assert _sparse_topk([[a]], targets, 1) == [[0]]
+    assert _sparse_topk([[a]], targets, 3) == [[0, 1, 3 if a > 0 else 2]]
+    # The walk meets target 3 first, then the run of targets 0 and 1; the
+    # second of that run ties with target 3 too, and has the lower index.
+    targets = [[low], [low], [0.1], [high]] if a > 0 else [[high], [high], [0.95], [low]]
+    assert _sparse_topk([[a]], targets, 2) == [[0, 1]]
+
+
+def test_sparse_shortlist_margin_covers_cancelling_sums():
+    # The source stores the marker (column 0) before two terms whose
+    # products cancel: summed in storage order, target 0 rounds x up to the
+    # grid of 1e8, while the shortlist's reordered sum reads x itself, below
+    # the marker-only target 1.  Only the margin keeps target 0 in the race.
+    x = next(x for x in np.linspace(0.3, 0.31, 101) if (x + 1e8) - 1e8 > np.nextafter(x, 1.0))
+    stored_order = (x + 1e8) - 1e8
+    between = np.nextafter(x, 1.0)
+    assert x < between < stored_order
+    assert _sparse_topk([[1.0, 1e8, 1e8]], [[x, 1.0, -1.0], [between, 0.0, 0.0]], 1) == [[0]]
+
+
+def test_a_sum_that_cancels_keeps_the_other_candidates_scores():
+    # Column 0 is the marker.  Targets 1 and 2 share column 1 with the
+    # source; target 0 shares columns 2 and 3, whose products cancel to 0,
+    # so the values product drops it.  scipy lists the row's columns as 0,
+    # 2, 1, so the values must be matched to the candidates by column.
+    targets = [[0.2, 0.0, 1.0, -1.0], [0.2, 0.3, 0.0, 0.0], [0.2, 0.9, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]]
+    # target 0 sums (0.1 + 1e8) - 1e8 in storage order, just below target 3's 0.1
+    assert _sparse_topk([[0.5, 1.0, 1e8, 1e8]], targets, 4) == [[2, 1, 3, 0]]
+
+
+def test_a_root_row_ranks_its_zero_scores_by_index():
+    # The source lacks the marker (column 0), as a root concept's CP text
+    # does, and shares column 1 with two targets only.  Every other target
+    # scores 0 and must follow by index, not by its marker value.
+    targets = [[0.9, 0.0], [0.1, 0.0], [0.5, 1.0], [0.7, 0.0], [0.3, 2.0], [0.8, 0.0]]
+    assert _sparse_topk([[0.0, 1.0]], targets, 5) == [[4, 2, 0, 1, 3]]
+
+
+def test_a_target_matrix_without_stored_entries():
+    assert _sparse_topk([[0.5, 1.0], [0.0, 0.0]], np.zeros((4, 2)), 3) == [[0, 1, 2], [0, 1, 2]]
+
+
+def test_tfidf_scores_keep_the_rows_storage_order():
+    # TF-IDF rows are stored in descending column order; summed in sorted
+    # order, some pairs differ in the last bit.  Find such a corpus.
+    for seed in range(100):
+        texts = random_texts(random.Random(seed), 60, max_words=6)
+        model = TfidfModel().fit(texts)
+        src, tgt = model.transform(texts[:30]), model.transform(texts[30:])
+        if ((src @ tgt.T) != (src.sorted_indices() @ tgt.T)).nnz:
+            break
+    else:
+        pytest.fail("no corpus where the storage order moves a sum")
+    assert not src.has_sorted_indices
+    for dense_bytes in _EVERY_ROW_KIND:
+        with _row_kind(dense_bytes):
+            assert cosine_topk(VectorMatrix(values=src), VectorMatrix(values=tgt), 30) == topk(src, tgt, 30)
 
 
 def test_candidate_nesting():
@@ -591,6 +782,28 @@ def test_retrieval_config_validation():
     for endpoint in ("mock:?dim=x", "mock:?dims=8", "mock:?dim=8&dim=9", "mock:dim=8", "mock:?dim="):
         with pytest.raises(ConfigError, match=re.escape(repr(endpoint))):
             RetrievalConfig(provider_endpoint=endpoint).validate()  # whatever the backend
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RetrievalConfig(top_k=True).validate(),
+    lambda: RetrievalConfig(top_k=2.5).validate(),
+    lambda: RetrievalConfig(batch_size=True).validate(),
+    lambda: RetrievalConfig(batch_size=2.5).validate(),
+    lambda: HttpEmbeddingProvider(RetrievalConfig(backend="embedding", provider_endpoint="http://127.0.0.1:9",
+                                                  batch_size=2.5)),
+    lambda: cosine_topk(VectorMatrix(values=np.eye(2)), VectorMatrix(values=np.eye(2)), 2.5),
+    lambda: cosine_topk(VectorMatrix(values=np.eye(2)), VectorMatrix(values=np.eye(2)), True),
+], ids=["top_k-bool", "top_k-float", "batch_size-bool", "batch_size-float", "provider-batch_size-float",
+        "k-float", "k-bool"])
+def test_integer_settings_reject_bools_and_floats(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_integer_settings_take_numpy_integers():
+    RetrievalConfig(top_k=np.int64(3), batch_size=np.int32(2)).validate()
+    ranked = cosine_topk(VectorMatrix(values=np.eye(3)), VectorMatrix(values=np.eye(3)), np.int64(2))
+    assert [[j for j, _ in row] for row in ranked] == [[0, 1], [1, 0], [2, 0]]
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
