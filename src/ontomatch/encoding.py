@@ -19,7 +19,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptyOntology
+from .errors import ConfigError, EmptyCorpus, EmptyOntology, ViewMismatch
 from .parsing import Ontology, split_camel_case
 
 # Unicode hyphen/dash variants folded to a space alongside '_' and '-'.
@@ -68,6 +68,14 @@ class EncodedCorpus:
 
     def __len__(self) -> int:
         return len(self.texts)
+
+
+def check_alignable(source: EncodedCorpus, target: EncodedCorpus) -> None:
+    """Refuse two corpora encoded under different views, or either one without texts."""
+    if source.view is not target.view:
+        raise ViewMismatch(f"source view {source.view.value} != target view {target.view.value}")
+    if not source.texts or not target.texts:
+        raise EmptyCorpus("both corpora need at least one text")
 
 
 def normalize(text: str) -> str:

@@ -3,6 +3,10 @@
 Every error below derives from :class:`OntomatchError` so callers can catch
 the whole family with one clause.  The CLI maps :class:`ConfigError` to exit
 code 1 and everything else to exit code 2.
+
+The ``check_*`` rules own what a valid setting is, for a config read from
+JSON or built in Python alike; each raises a :class:`ConfigError` naming the
+setting.  A count is an int or numpy integer, and a bool is never a number.
 """
 
 from __future__ import annotations
@@ -14,6 +18,31 @@ class OntomatchError(Exception):
 
 class ConfigError(OntomatchError):
     """Invalid, missing, or contradictory configuration."""
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Refuse ``value`` unless it is an int or numpy integer of at least ``minimum``, never a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_fraction(name: str, value: object) -> None:
+    """Refuse ``value`` unless it is a number in [0, 1], never a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__float__") or not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def check_finite(name: str, value: object, positive: bool) -> None:
+    """Refuse ``value`` unless it is a finite number, above 0 if ``positive`` else at least 0, never a bool."""
+    number = not isinstance(value, bool) and hasattr(value, "__float__")
+    if not (number and 0.0 <= value < float("inf")) or positive and value == 0:
+        raise ConfigError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
+def check_choice(name: str, value: object, choices: tuple[str, ...]) -> None:
+    """Refuse ``value`` unless it is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}: choose one of {', '.join(choices)}")
 
 
 class MalformedDocument(OntomatchError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -151,7 +150,9 @@ def atomic_write(path: str | Path, data: str | Iterable[str]) -> None:
     path = Path(path)
     if isinstance(data, str):
         data = (data,)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # Created like open(path, "w") would be, so the umask sets its mode.
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(data)

@@ -17,14 +17,13 @@ characters, so one source is scored against all targets at once.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import EncodedCorpus, tokenize
-from .errors import ConfigError, EmptyCorpus, ViewMismatch
+from .encoding import EncodedCorpus, check_alignable, tokenize
+from .errors import check_choice, check_finite, check_fraction
 from .mapping import Correspondence
 
 _METHODS = ("simple", "token_set", "weighted")
@@ -50,17 +49,10 @@ class FuzzyConfig:
     weights: dict[str, float] | None = field(default=None, hash=False)
 
     def validate(self) -> None:
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown fuzzy method: {self.method!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"fuzzy threshold must be in [0, 1], got {self.threshold}")
-        if self.weights is not None:
-            for token, weight in self.weights.items():
-                number = isinstance(weight, (int, float)) and not isinstance(weight, bool)
-                if not (number and math.isfinite(weight) and weight > 0):
-                    raise ConfigError(
-                        f"fuzzy weight for {token!r} must be a positive finite number, got {weight!r}"
-                    )
+        check_choice("fuzzy method", self.method, _METHODS)
+        check_fraction("fuzzy threshold", self.threshold)
+        for token, weight in (self.weights or {}).items():
+            check_finite(f"fuzzy weight for {token!r}", weight, positive=True)
 
 
 def _char_masks(text: str) -> dict[str, int]:
@@ -278,10 +270,7 @@ def align_fuzzy(source: EncodedCorpus, target: EncodedCorpus, cfg: FuzzyConfig) 
         ConfigError: invalid method, threshold, or weights.
     """
     cfg.validate()
-    if source.view is not target.view:
-        raise ViewMismatch(f"source view {source.view.value} != target view {target.view.value}")
-    if not source.texts or not target.texts:
-        raise EmptyCorpus("both corpora need at least one text")
+    check_alignable(source, target)
 
     provenance = f"fuzzy:{cfg.method}"
     # Rows run in ascending-IRI order, so argmax (the first maximum) gives

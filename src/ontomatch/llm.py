@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ConfigError, ProviderError
+from .errors import ConfigError, ProviderError, check_count, check_finite
 from .fuzzy import fuzzy_ratio
 from .transport import connection_pool, mock_query, post_json
 
@@ -71,14 +71,10 @@ class LLMConfig:
         if self.endpoint == "":
             raise ConfigError("llm endpoint must not be empty")
         mock_query(self.endpoint)
-        if self.max_new_tokens < 1:
-            raise ConfigError(f"max_new_tokens must be positive, got {self.max_new_tokens}")
-        if self.batch_size < 1:
-            raise ConfigError(f"llm batch_size must be positive, got {self.batch_size}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
-            raise ConfigError(f"request_timeout must be finite and positive, got {self.request_timeout}")
+        check_count("max_new_tokens", self.max_new_tokens)
+        check_count("llm batch_size", self.batch_size)
+        check_finite("temperature", self.temperature, positive=False)
+        check_finite("request_timeout", self.request_timeout, positive=True)
 
 
 @dataclass(frozen=True)

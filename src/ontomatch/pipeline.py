@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .encoding import EncodingView, encode
-from .errors import ConfigError
+from .errors import ConfigError, check_choice, check_count
 from .evaluation import Metrics, evaluate
 from .export import atomic_write, write_alignment
 from .fuzzy import FuzzyConfig, align_fuzzy
@@ -60,11 +60,9 @@ class PipelineConfig:
             raise ConfigError("source_path is required")
         if not self.target_path:
             raise ConfigError("target_path is required")
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method: {self.method!r}")
+        check_choice("method", self.method, _METHODS)
         EncodingView.parse(self.view)
-        if self.pair_cap < 1:
-            raise ConfigError(f"pair_cap must be positive, got {self.pair_cap}")
+        check_count("pair_cap", self.pair_cap)
         if self.rag.shots and self.method != "fewshot_rag":
             raise ConfigError(f"method {self.method} takes no shots; for {self.rag.shots} shots use method fewshot_rag")
         if self.method == "fewshot_rag" and self.rag.shots == 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import check_choice, check_fraction
 from .mapping import Correspondence
 
 _CARDINALITIES = ("many_to_many", "one_to_one_greedy")
@@ -23,10 +23,9 @@ class PostprocessConfig:
     cardinality: str = "many_to_many"
 
     def validate(self) -> None:
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"postprocess threshold must be in [0, 1], got {self.threshold}")
-        if self.cardinality not in _CARDINALITIES:
-            raise ConfigError(f"unknown cardinality policy: {self.cardinality!r}")
+        if self.threshold is not None:
+            check_fraction("postprocess threshold", self.threshold)
+        check_choice("cardinality policy", self.cardinality, _CARDINALITIES)
 
 
 def apply_postprocess(
@@ -43,8 +42,7 @@ def apply_postprocess(
 
 def threshold_filter(correspondences: list[Correspondence], threshold: float) -> list[Correspondence]:
     """Keep correspondences scoring at least ``threshold``, order preserved."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"filter threshold must be in [0, 1], got {threshold}")
+    check_fraction("filter threshold", threshold)
     return [c for c in correspondences if c.score >= threshold]
 
 
@@ -56,8 +54,7 @@ def cardinality_filter(correspondences: list[Correspondence], policy: str) -> li
     and keeps a pair only when both endpoints are still unused, so no IRI
     appears twice on either side.
     """
-    if policy not in _CARDINALITIES:
-        raise ConfigError(f"unknown cardinality policy: {policy!r}")
+    check_choice("cardinality policy", policy, _CARDINALITIES)
     if policy == "many_to_many":
         return list(correspondences)
     ranked = sorted(correspondences, key=lambda c: (-c.score, c.source, c.target))

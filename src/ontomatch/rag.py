@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .encoding import EncodedCorpus, EncodingView, encode, render_concept
-from .errors import ConfigError, PairCapExceeded, TemplateError
+from .errors import ConfigError, PairCapExceeded, TemplateError, check_count, check_fraction
 from .llm import Decision, LLMConfig, make_llm_client, read_answer
 from .mapping import Correspondence
 from .parsing import Ontology
@@ -143,10 +143,9 @@ class RAGConfig:
         self.retrieval.validate()
         self.llm.validate()
         self.template.validate()
-        if not 0.0 <= self.llm_threshold <= 1.0:
-            raise ConfigError(f"llm_threshold must be in [0, 1], got {self.llm_threshold}")
-        if self.shots is not None and self.shots < 0:
-            raise ConfigError(f"shots must be >= 0, got {self.shots}")
+        check_fraction("llm_threshold", self.llm_threshold)
+        if self.shots is not None:
+            check_count("shots", self.shots, minimum=0)
         for exemplar in self.exemplars:
             exemplar.validate()
 

@@ -39,8 +39,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoding import EncodedCorpus, tokenize
-from .errors import ConfigError, DimensionMismatch, EmptyCorpus, ProviderError, ViewMismatch
+from .encoding import EncodedCorpus, check_alignable, tokenize
+from .errors import ConfigError, DimensionMismatch, EmptyCorpus, ProviderError
+from .errors import check_choice, check_count, check_finite, check_fraction
 from .mapping import Correspondence
 from .transport import connection_pool, mock_query, post_json
 
@@ -69,11 +70,6 @@ _U = 2.0 ** -53
 CandidateList = list[list[tuple[int, float]]]
 
 
-def _is_count(value) -> bool:
-    """A positive int or numpy integer: a bool is an int to isinstance, and a float slips past ``< 1``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     """Settings for :func:`align_retrieval`.
@@ -98,16 +94,11 @@ class RetrievalConfig:
     timeout: float = 30.0
 
     def validate(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ConfigError(f"unknown retrieval backend: {self.backend!r}")
-        if not _is_count(self.top_k):
-            raise ConfigError(f"top_k must be a positive integer, got {self.top_k!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"retrieval threshold must be in [0, 1], got {self.threshold}")
-        if not _is_count(self.batch_size):
-            raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ConfigError(f"timeout must be finite and positive, got {self.timeout}")
+        check_choice("retrieval backend", self.backend, _BACKENDS)
+        check_count("top_k", self.top_k)
+        check_fraction("retrieval threshold", self.threshold)
+        check_count("batch_size", self.batch_size)
+        check_finite("timeout", self.timeout, positive=True)
         mock_query(self.provider_endpoint)
 
 
@@ -202,8 +193,7 @@ class MockEmbeddingProvider:
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
-        if dim < 1:
-            raise ConfigError(f"embedding dim must be positive, got {dim}")
+        check_count("embedding dim", dim)
         self.dim = dim
         self.seed = seed
 
@@ -331,8 +321,7 @@ def cosine_topk(source: VectorMatrix, target: VectorMatrix, k: int) -> Candidate
     whose other terms could reach more targets than a dense row's scratch
     pays for is scored whole instead (:func:`_sparse_scorer`).
     """
-    if not _is_count(k):
-        raise ConfigError(f"top_k must be a positive integer, got {k!r}")
+    check_count("top_k", k)
     if source.dim != target.dim:
         raise DimensionMismatch(f"source dim {source.dim} != target dim {target.dim}")
     if not target.rows:
@@ -636,10 +625,7 @@ def align_retrieval(
         ConfigError: invalid settings.
     """
     cfg.validate()
-    if source.view is not target.view:
-        raise ViewMismatch(f"source view {source.view.value} != target view {target.view.value}")
-    if not source.texts or not target.texts:
-        raise EmptyCorpus("both corpora need at least one text")
+    check_alignable(source, target)
 
     if cfg.backend == "tfidf":
         model = TfidfModel().fit(list(source.texts) + list(target.texts))

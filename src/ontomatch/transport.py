@@ -27,7 +27,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from .errors import ConfigError, EndpointUnreachable, ProviderError
+from .errors import ConfigError, EndpointUnreachable, ProviderError, check_count
 
 if TYPE_CHECKING:
     import urllib3
@@ -43,18 +43,20 @@ MAX_RETRY_AFTER_S = 60.0
 def mock_query(endpoint: str | None) -> dict[str, int] | None:
     """The integer ``dim``/``seed`` query of a ``mock:`` endpoint, or None for
     any other endpoint.  Anything else after ``mock:`` (text before the
-    ``?``, another key, a repeated key, a value that is not an integer) is a
-    ConfigError naming the endpoint."""
+    ``?``, another key, a repeated key, a value that is not an integer, a
+    ``dim`` below 1) is a ConfigError naming the endpoint."""
     if endpoint is None or not endpoint.startswith("mock:"):
         return None
     rest, _, query = endpoint[len("mock:"):].partition("?")
     values = parse_qs(query, keep_blank_values=True)
     try:
         if not rest and set(values) <= {"dim", "seed"} and all(len(v) == 1 for v in values.values()):
-            return {key: int(value) for key, (value,) in values.items()}
-    except ValueError:  # a value that is not an integer
+            query = {key: int(value) for key, (value,) in values.items()}
+            check_count("dim", query.get("dim", 1))
+            return query
+    except (ValueError, ConfigError):  # a value that is not an integer, or a dim below 1
         pass
-    raise ConfigError(f"mock endpoint {endpoint!r}: only integer dim and seed may follow 'mock:?'")
+    raise ConfigError(f"mock endpoint {endpoint!r}: only integer dim (1 or more) and seed may follow 'mock:?'")
 
 
 def auth_headers() -> dict[str, str]:

@@ -313,7 +313,7 @@ def test_an_llm_run_without_an_endpoint_exits_1(corpus, tmp_path, capsys, method
     assert not out.exists()
 
 
-@pytest.mark.parametrize("endpoint", ["mock:?dim=x", "mock:?dims=8"])
+@pytest.mark.parametrize("endpoint", ["mock:?dim=x", "mock:?dims=8", "mock:?dim=0"])
 @pytest.mark.parametrize("method", ["llm", "retrieval"])
 def test_a_bad_mock_query_exits_1_for_every_method(corpus, tmp_path, capsys, method, endpoint):
     source, target, _ = corpus

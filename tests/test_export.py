@@ -365,3 +365,13 @@ def test_atomic_write_cleans_up_when_rename_fails(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         atomic_write(tmp_path / "out.xml", "payload")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=["022", "027", "002"])
+def test_atomic_write_gives_the_file_the_mode_the_umask_leaves(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "out.xml", "payload")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.xml").stat().st_mode & 0o777 == 0o666 & ~umask

@@ -27,6 +27,11 @@ from ontomatch.errors import (
     ProviderError,
     ViewMismatch,
 )
+from ontomatch.fuzzy import FuzzyConfig
+from ontomatch.llm import LLMConfig
+from ontomatch.pipeline import PipelineConfig
+from ontomatch.postprocess import PostprocessConfig
+from ontomatch.rag import RAGConfig
 from ontomatch.retrieval import (
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
@@ -779,7 +784,8 @@ def test_retrieval_config_validation():
         RetrievalConfig(top_k=0).validate()
     with pytest.raises(ConfigError):
         RetrievalConfig(batch_size=0).validate()
-    for endpoint in ("mock:?dim=x", "mock:?dims=8", "mock:?dim=8&dim=9", "mock:dim=8", "mock:?dim="):
+    for endpoint in ("mock:?dim=x", "mock:?dims=8", "mock:?dim=8&dim=9", "mock:dim=8", "mock:?dim=", "mock:?dim=0",
+                     "mock:?dim=-3"):
         with pytest.raises(ConfigError, match=re.escape(repr(endpoint))):
             RetrievalConfig(provider_endpoint=endpoint).validate()  # whatever the backend
 
@@ -793,8 +799,17 @@ def test_retrieval_config_validation():
                                                   batch_size=2.5)),
     lambda: cosine_topk(VectorMatrix(values=np.eye(2)), VectorMatrix(values=np.eye(2)), 2.5),
     lambda: cosine_topk(VectorMatrix(values=np.eye(2)), VectorMatrix(values=np.eye(2)), True),
+    lambda: LLMConfig(batch_size=2.5).validate(),
+    lambda: LLMConfig(batch_size=True).validate(),
+    lambda: LLMConfig(max_new_tokens=2.5).validate(),
+    lambda: LLMConfig(max_new_tokens=True).validate(),
+    lambda: PipelineConfig(source_path="s.owl", target_path="t.owl", pair_cap=1.5).validate(),
+    lambda: RAGConfig(shots=1.5).validate(),
+    lambda: RAGConfig(shots=True).validate(),
+    lambda: MockEmbeddingProvider(dim=2.5),
 ], ids=["top_k-bool", "top_k-float", "batch_size-bool", "batch_size-float", "provider-batch_size-float",
-        "k-float", "k-bool"])
+        "k-float", "k-bool", "llm-batch_size-float", "llm-batch_size-bool", "max_new_tokens-float",
+        "max_new_tokens-bool", "pair_cap-float", "shots-float", "shots-bool", "dim-float"])
 def test_integer_settings_reject_bools_and_floats(call):
     with pytest.raises(ConfigError):
         call()
@@ -804,12 +819,29 @@ def test_integer_settings_take_numpy_integers():
     RetrievalConfig(top_k=np.int64(3), batch_size=np.int32(2)).validate()
     ranked = cosine_topk(VectorMatrix(values=np.eye(3)), VectorMatrix(values=np.eye(3)), np.int64(2))
     assert [[j for j, _ in row] for row in ranked] == [[0, 1], [1, 0], [2, 0]]
+    LLMConfig(batch_size=np.int64(2), max_new_tokens=np.int64(3)).validate()
+    PipelineConfig(source_path="s.owl", target_path="t.owl", pair_cap=np.int64(5)).validate()
+    RAGConfig(shots=np.int64(0)).validate()
+    assert MockEmbeddingProvider(dim=np.int64(4)).embed(["alloy"]).shape == (1, 4)
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf, "30", True])
 def test_retrieval_config_rejects_bad_timeouts(timeout):
     with pytest.raises(ConfigError):
         RetrievalConfig(timeout=timeout).validate()
+
+
+@pytest.mark.parametrize("config, name, value", [
+    *((config, name, value)
+      for config, name in [(FuzzyConfig, "threshold"), (RetrievalConfig, "threshold"), (RAGConfig, "llm_threshold"),
+                           (PostprocessConfig, "threshold")]
+      for value in (True, "0.5", math.nan)),
+    (LLMConfig, "request_timeout", "30"),
+    (LLMConfig, "temperature", True),
+])
+def test_number_settings_refuse_bools_text_and_nan(config, name, value):
+    with pytest.raises(ConfigError, match=name):
+        config(**{name: value}).validate()
 
 
 def test_view_and_empty_corpus_errors():
