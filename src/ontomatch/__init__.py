@@ -6,7 +6,7 @@ filter the result, evaluate it against a reference, and export it in the
 OAEI cell XML vocabulary or JSON.
 """
 
-from .encoding import ConceptText, EncodedCorpus, EncodingView, encode, normalize, tokenize
+from .encoding import EncodedCorpus, EncodingView, encode, normalize, tokenize
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -81,7 +81,6 @@ __all__ = [
     "AlignmentDocument",
     "ComparisonTable",
     "ConceptRecord",
-    "ConceptText",
     "ConfigError",
     "Correspondence",
     "Decision",

@@ -9,8 +9,9 @@ Three views control how much taxonomy context each concept carries:
 Encoded corpora are index-aligned with the ontology's concept list and are
 consumed by every aligner.  Texts, which fuzzy and retrieval scoring read,
 carry the label, its normalized synonyms in parentheses and the view's
-related labels.  Structured records, from which LLM prompts are rendered,
-carry the label without synonyms and the same related labels.
+related labels.  Prompts, which LLM prompts quote, carry the label without
+synonyms and the same related labels.  This module is the only one that
+renders a view.
 """
 
 from __future__ import annotations
@@ -50,24 +51,13 @@ class EncodingView(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ConceptText:
-    """Structured per-concept record used to fill prompt placeholders."""
-
-    concept_label: str
-    related_labels: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class EncodedCorpus:
-    """Texts and structured records, index-aligned with ontology concepts."""
+    """Matcher texts and prompt texts, index-aligned with ontology concepts."""
 
     view: EncodingView
     iris: tuple[str, ...]
     texts: tuple[str, ...]
-    structured: tuple[ConceptText, ...]
-
-    def __len__(self) -> int:
-        return len(self.texts)
+    prompts: tuple[str, ...]
 
 
 def check_alignable(source: EncodedCorpus, target: EncodedCorpus) -> None:
@@ -127,7 +117,7 @@ def encode(ontology: Ontology, view: EncodingView | str) -> EncodedCorpus:
     labels = {concept.iri: _safe_label(concept.label, concept.iri) for concept in ontology.concepts}
     iris = []
     texts = []
-    structured = []
+    prompts = []
     for concept in ontology.concepts:
         label = labels[concept.iri]
         if view is EncodingView.CC:
@@ -142,14 +132,9 @@ def encode(ontology: Ontology, view: EncodingView | str) -> EncodedCorpus:
 
         iris.append(concept.iri)
         texts.append(render_concept(label_segment, related, view))
-        structured.append(ConceptText(concept_label=label, related_labels=related))
+        prompts.append(render_concept(label, related, view))
 
-    return EncodedCorpus(
-        view=view,
-        iris=tuple(iris),
-        texts=tuple(texts),
-        structured=tuple(structured),
-    )
+    return EncodedCorpus(view=view, iris=tuple(iris), texts=tuple(texts), prompts=tuple(prompts))
 
 
 def _unique_normalized(values: tuple[str, ...], label: str) -> list[str]:

@@ -516,13 +516,11 @@ class _TurtleReader:
             if kind != "iri":
                 raise MalformedDocument("prefix declaration needs an IRI")
             self.prefixes[name[:-1]] = self._resolve_iri(iri)
-        elif upper == "BASE":
+        else:  # BASE: _statement sends only the prefix and base keywords here
             kind, iri = self._next()
             if kind != "iri":
                 raise MalformedDocument("base declaration needs an IRI")
             self.base = self._resolve_iri(iri)
-        else:
-            raise MalformedDocument(f"unknown Turtle directive {keyword!r}")
         if keyword.startswith("@"):
             self._expect(".")
 
@@ -656,15 +654,13 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
             if not isinstance(fields[name], str):
                 raise MalformedDocument(f"alignment JSON cell {index} has a non-string {name} {fields[name]!r}")
         score = item.get("score", 1.0)
-        try:
-            score = float(score)
-        except (TypeError, ValueError):
-            raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}") from None
+        if type(score) not in (int, float):  # a JSON number; never a bool or a numeric string
+            raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}")
         cells.append(Correspondence(
             source=fields["source"],
             target=fields["target"],
             relation=fields["relation"],
-            score=score,
+            score=float(score),
             provenance=fields["provenance"],
         ))
     return cells

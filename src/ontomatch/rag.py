@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .encoding import EncodedCorpus, EncodingView, encode, render_concept
+from .encoding import EncodedCorpus, EncodingView, encode
 from .errors import ConfigError, PairCapExceeded, TemplateError, check_count, check_fraction
 from .llm import Decision, LLMConfig, make_llm_client, read_answer
 from .mapping import Correspondence
@@ -57,6 +57,9 @@ class Exemplar:
     answer: str
 
     def validate(self) -> None:
+        for name, text in (("source", self.source), ("target", self.target)):
+            if not isinstance(text, str):
+                raise ConfigError(f"exemplar {name} must be a string, got {text!r}")
         if self.answer not in ("yes", "no"):
             raise ConfigError(f"exemplar answer must be yes or no, got {self.answer!r}")
 
@@ -160,7 +163,7 @@ def exemplars_from_json(raw: object, where: str) -> tuple[Exemplar, ...]:
     out = []
     for i, item in enumerate(raw):
         try:
-            exemplar = Exemplar(str(item["source"]), str(item["target"]), str(item["answer"]))
+            exemplar = Exemplar(item["source"], item["target"], item["answer"])
         except (KeyError, TypeError):
             raise ConfigError(f"{where}[{i}] needs source/target/answer") from None
         exemplar.validate()
@@ -197,18 +200,6 @@ def build_prompt(
     template = template or PromptTemplate()
     examples = "".join(_fill(template.shot_block, src=s.source, tgt=s.target, answer=s.answer) for s in shots)
     return f"{template.preamble}\n{examples}{_fill(template.query_block, src=source_text, tgt=target_text)}"
-
-
-def _query(source: EncodedCorpus, target: EncodedCorpus, i: int, j: int,
-           shots: tuple[Exemplar, ...], template: PromptTemplate) -> str:
-    """The prompt for source concept i and target concept j, rendered at the
-    corpora's view."""
-    src, tgt = source.structured[i], target.structured[j]
-    return build_prompt(
-        render_concept(src.concept_label, src.related_labels, source.view),
-        render_concept(tgt.concept_label, tgt.related_labels, target.view),
-        shots, template,
-    )
 
 
 def _load_journal(path: str) -> dict[str, Decision]:
@@ -297,7 +288,7 @@ def align_llm_pairwise(
         )
 
     pairs = [(i, j) for i in range(len(source.texts)) for j in range(len(target.texts))]
-    prompts = [_query(source, target, i, j, (), template) for i, j in pairs]
+    prompts = [build_prompt(source.prompts[i], target.prompts[j], (), template) for i, j in pairs]
     with ExitStack() as owned:
         if client is None:
             client = owned.enter_context(closing(make_llm_client(cfg, template)))
@@ -339,14 +330,14 @@ def align_rag(
 
     src_corpus = encode(source, EncodingView.C)
     tgt_corpus = encode(target, EncodingView.C)
-    src_prompts, tgt_prompts = src_corpus, tgt_corpus
+    src_prompts, tgt_prompts = src_corpus.prompts, tgt_corpus.prompts
     if view is not EncodingView.C:
-        src_prompts, tgt_prompts = encode(source, view), encode(target, view)
+        src_prompts, tgt_prompts = encode(source, view).prompts, encode(target, view).prompts
     src_index = {iri: i for i, iri in enumerate(src_corpus.iris)}
     tgt_index = {iri: i for i, iri in enumerate(tgt_corpus.iris)}
 
     candidates = align_retrieval(src_corpus, tgt_corpus, cfg.retrieval, provider=provider)
-    prompts = [_query(src_prompts, tgt_prompts, src_index[c.source], tgt_index[c.target], shots, cfg.template)
+    prompts = [build_prompt(src_prompts[src_index[c.source]], tgt_prompts[tgt_index[c.target]], shots, cfg.template)
                for c in candidates]
 
     with ExitStack() as owned:

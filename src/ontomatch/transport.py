@@ -110,7 +110,7 @@ def post_json(
     Raises:
         EndpointUnreachable: connection failures or timeouts after retries.
         ProviderError: an HTTP error status (429 and 503 after retries),
-            carrying a body excerpt, or a body that is not JSON.
+            carrying a body excerpt, or a body that is not a JSON object.
     """
     from urllib3 import exceptions
 
@@ -132,9 +132,12 @@ def post_json(
         else:
             if response.status < 400:
                 try:
-                    return json.loads(response.data)
+                    decoded = json.loads(response.data)
                 except ValueError as exc:
                     raise ProviderError(response.status, f"non-JSON body: {_excerpt(response)}") from exc
+                if not isinstance(decoded, dict):
+                    raise ProviderError(response.status, f"body is not a JSON object: {_excerpt(response)}")
+                return decoded
             if response.status not in _RETRY_STATUSES or attempt >= retries:
                 raise ProviderError(response.status, _excerpt(response))
             delay = _retry_after(response.headers.get("Retry-After"), delay)

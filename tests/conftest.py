@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
-from ontomatch.encoding import ConceptText, EncodedCorpus, EncodingView
+from ontomatch.encoding import EncodedCorpus, EncodingView
 from ontomatch.llm import Decision, MockLLMClient
 from ontomatch.parsing import ConceptRecord, Ontology
 from ontomatch.rag import PromptTemplate
@@ -114,7 +114,7 @@ def make_corpus(
         view=view,
         iris=tuple(f"{prefix}C{i:03d}" for i in range(len(texts))),
         texts=tuple(texts),
-        structured=tuple(ConceptText(concept_label=text) for text in texts),
+        prompts=tuple(texts),
     )
 
 

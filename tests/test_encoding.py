@@ -97,8 +97,7 @@ def test_encode_parents_view(family):
 def test_encode_plain_view_ignores_hierarchy(family):
     corpus = encode(family, "C")
     assert corpus.texts == ("alloy", "bronze", "steel")
-    assert corpus.structured[0].concept_label == "alloy"
-    assert corpus.structured[0].related_labels == ()
+    assert corpus.prompts == ("alloy", "bronze", "steel")
 
 
 def test_texts_are_normalized_and_nonempty(tmp_path):
@@ -122,8 +121,8 @@ def test_related_labels_capped(tmp_path):
     ]
     onto = parse_ontology(write_rdfxml(tmp_path / "wide.owl", concepts))
     corpus = encode(onto, "CC")
-    root = corpus.structured[list(corpus.iris).index(BASE + "Root")]
-    assert len(root.related_labels) == RELATED_LABEL_CAP
+    root = corpus.prompts[list(corpus.iris).index(BASE + "Root")]
+    assert root == "root, children: " + ", ".join(f"kid {i}" for i in range(RELATED_LABEL_CAP))
 
 
 def test_synonyms_included_for_lightweight_but_not_llm(tmp_path):
@@ -135,7 +134,7 @@ def test_synonyms_included_for_lightweight_but_not_llm(tmp_path):
     light = encode(onto, "C")
     # synonyms are normalized, deduplicated against the label, and appended
     assert light.texts == ("alloy (metal alloy)",)
-    assert light.structured[0].concept_label == "alloy"
+    assert light.prompts == ("alloy",)
 
 
 def test_encode_rejects_bad_inputs(family):

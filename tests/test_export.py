@@ -252,6 +252,8 @@ def test_json_loader_rejects_bad_documents(tmp_path):
         ('["http://a#1"]', "cell 0 is not an object"),
         ('[{"source": "http://a#1"}]', "cell 0 lacks source/target"),
         ('[{"source": "a", "target": "b", "score": "high"}]', "cell 0 has a non-numeric score 'high'"),
+        ('[{"source": "a", "target": "b", "score": true}]', "cell 0 has a non-numeric score True"),
+        ('[{"source": "a", "target": "b", "score": "0.5"}]', "cell 0 has a non-numeric score '0.5'"),
         ('[{"source": null, "target": "http://b#x", "relation": null}]', "cell 0 has a non-string source None"),
         ('[{"source": "a", "target": "b"}, {"source": "a", "target": 7}]', "cell 1 has a non-string target 7"),
         ('[{"source": "a", "target": "b", "relation": null}]', "cell 0 has a non-string relation None"),

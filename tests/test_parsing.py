@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -506,6 +507,37 @@ def test_turtle_literals_never_stand_for_punctuation(tmp_path, statement):
     path.write_text(f"@prefix ex: <http://x.org/> .\n{statement}\n", encoding="utf-8")
     with pytest.raises(MalformedDocument):
         parse_ontology(path)
+
+
+@pytest.mark.parametrize("statements, expected", [
+    ("@prefix ab <http://x.org/ab#> .", "bad prefix name 'ab'"),
+    ("PREFIX <http://x.org/ab#>", "bad prefix name '<http://x.org/ab#>'"),
+    ('@prefix ab: "http://x.org/ab#" .', "prefix declaration needs an IRI"),
+    ("@base ex:A .", "base declaration needs an IRI"),
+    ('BASE "http://x.org/"', "base declaration needs an IRI"),
+    ("ex:A ex:members ( ex:B ex:C", "unterminated Turtle collection"),
+    ("ex:A _:b ex:B .", "blank node used as a predicate"),
+    ("ex:A [] ex:B .", "blank node used as a predicate"),
+    ("ex:A a owl:Class ! .", "invalid Turtle near '! .\\n' (line 4)"),
+    ("_:b a owl:Class ; ex:p ex:B .\nex:A a owl:Class .", ("http://x.org/A",)),
+    ("[] a owl:Class ; ex:p ex:B .\nex:A a owl:Class .", ("http://x.org/A",)),
+    ("ex:A a owl:Class ; .", ("http://x.org/A",)),
+    ("ex:A a owl:Class ; rdfs:subClassOf [ a owl:Restriction ; ] .", ("http://x.org/A",)),
+])
+def test_turtle_rare_forms_read_or_fail_as_documented(tmp_path, statements, expected):
+    """Each form reads to the concept IRIs ``expected``, or fails with that message."""
+    path = tmp_path / "rare.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        f"@prefix ex: <http://x.org/> .\n{statements}\n",
+        encoding="utf-8",
+    )
+    if isinstance(expected, str):
+        with pytest.raises(MalformedDocument, match=re.escape(expected)):
+            parse_ontology(path)
+    else:
+        assert parse_ontology(path).iris() == expected
 
 
 def test_turtle_non_utf8_line_is_counted_over_the_whole_file(tmp_path):

@@ -118,6 +118,15 @@ def test_config_rejects_unknown_keys_everywhere():
         PipelineConfig.from_dict({"rag": {"exemplars": [{"source": "a"}]}})
 
 
+@pytest.mark.parametrize("source, target", [(None, "b"), ("a", 3)])
+def test_an_exemplar_whose_texts_are_not_strings_is_refused(source, target):
+    inline = {"rag": {"exemplars": [{"source": source, "target": target, "answer": "yes"}]}}
+    with pytest.raises(ConfigError, match="must be a string"):
+        PipelineConfig.from_dict(inline)
+    with pytest.raises(ConfigError, match="must be a string"):
+        Exemplar(source, target, "yes").validate()
+
+
 def test_config_validation_catches_bad_fields():
     with pytest.raises(ConfigError):
         PipelineConfig(target_path="b.owl").validate()  # no source

@@ -160,6 +160,8 @@ def test_load_exemplars_roundtrip_and_errors(tmp_path):
         ("empty.json", "[]"),
         ("badanswer.json", '[{"source": "a", "target": "b", "answer": "maybe"}]'),
         ("latin1.json", '[{"source": "café", "target": "coffee", "answer": "yes"}]'),
+        ("nullsource.json", '[{"source": null, "target": "b", "answer": "yes"}]'),
+        ("numbertarget.json", '[{"source": "a", "target": 3, "answer": "yes"}]'),
     ]:
         path = tmp_path / name
         path.write_bytes(payload.encode("latin-1"))

@@ -79,6 +79,14 @@ def test_non_json_success_body_is_a_provider_error(monkeypatch):
         post_json("http://x/v1", {}, pool=pool, sleep=lambda _: None)
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_a_json_success_body_that_is_not_an_object_is_a_provider_error(monkeypatch, text):
+    pool = fake_pool(monkeypatch, lambda method, url, **kwargs: dummy_response(text=text))
+    with pytest.raises(ProviderError, match="body is not a JSON object") as excinfo:
+        post_json("http://x/v1", {}, pool=pool, sleep=lambda _: None)
+    assert excinfo.value.status == 200
+
+
 def test_auth_header_comes_from_environment(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     assert "Authorization" not in auth_headers()
