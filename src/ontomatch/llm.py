@@ -57,7 +57,10 @@ class LLMConfig:
         max_new_tokens: completion length cap.
         temperature: sampling temperature (0 keeps providers greedy).
         request_timeout: per-request timeout in seconds.
-        batch_size: bound on concurrent in-flight requests.
+        batch_size: bound on concurrent in-flight requests, and the
+            number of prompts an LLM run asks, and journals, per chunk.
+            The next chunk is asked while the current one finishes, through
+            the same ``batch_size`` worker threads.
     """
 
     endpoint: str | None = None

@@ -271,6 +271,10 @@ def _read_xml(path: str | Path, what: str, namespace_separator: str, start, end,
             parser.ParseFile(stream)
     except expat.ExpatError as exc:
         raise MalformedDocument(f"invalid {what}: {expat.errors.messages[exc.code]}", exc.lineno, exc.offset) from exc
+    except LookupError as exc:  # expat's "unknown encoding: <name>"; a handler's KeyError is a bug
+        if type(exc) is not LookupError:
+            raise
+        raise MalformedDocument(f"invalid {what}: {exc}", 1) from None
     finally:
         parser.SkippedEntityHandler = None  # it refers back to the parser
 
@@ -641,6 +645,8 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
         raw = json.loads(_read_utf8(path, "alignment JSON"))
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid alignment JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError:  # an integer literal longer than the interpreter converts
+        raise MalformedDocument("invalid alignment JSON: a number has too many digits") from None
     if not isinstance(raw, list):
         raise MalformedDocument("alignment JSON must be an array of cells")
     cells = []
@@ -656,11 +662,15 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
         score = item.get("score", 1.0)
         if type(score) not in (int, float):  # a JSON number; never a bool or a numeric string
             raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}")
+        try:
+            score = float(score)
+        except OverflowError:  # an integer too large for a float
+            raise MalformedDocument(f"alignment JSON cell {index} has a score too large for a float") from None
         cells.append(Correspondence(
             source=fields["source"],
             target=fields["target"],
             relation=fields["relation"],
-            score=float(score),
+            score=score,
             provenance=fields["provenance"],
         ))
     return cells

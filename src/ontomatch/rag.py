@@ -13,8 +13,8 @@ yes-confidence reaches the threshold.  A fallback decision, made from the
 completion text because the provider sent no usable logprobs, has no
 confidence to threshold: it is kept when its label is "yes".  Few-shot
 prompting prepends worked examples.  Both aligners ask through one loop
-that appends each completed batch to a JSON-lines journal keyed by a hash
-of the request, so an interrupted run resumes without re-asking.
+that appends each completed chunk of prompts to a JSON-lines journal keyed
+by a hash of the request, so an interrupted run resumes without re-asking.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import logging
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -232,25 +233,37 @@ def _load_journal(path: str) -> dict[str, Decision]:
 def _ask(prompts: Sequence[str], kind: str, cfg: LLMConfig,
          decide: Callable[[list[str]], list[Decision]], journal_path: str | None) -> list[Decision]:
     """One decision per prompt: the journal's for a key it held at the start,
-    else ``decide``'s, asked in ``batch_size`` chunks, each appended to the
-    journal and synced before the next.  A key is a SHA-256 of the decision
-    ``kind`` ("text" or "logprob"), the settings sent and the prompt, which
-    carries the template, shots and view; a repeated prompt is asked again."""
+    else ``decide``'s, asked in ``batch_size`` chunks, one ``decide`` call
+    each, in order.  Each chunk is appended to the journal and synced before
+    any later one, while the next chunk is already being asked, so the
+    provider is not left idle while a chunk's slowest request finishes and
+    the chunk is journaled.  Two ask threads make the calls, and chunk k + 2
+    is asked only once chunk k is journaled: a crash may lose two chunks'
+    answers, which a resumed run asks again.  An error in a chunk is raised
+    once the chunks before it are journaled and the ask threads have
+    stopped; the chunk after it is asked but not journaled.  A key is a
+    SHA-256 of the decision ``kind`` ("text" or "logprob"), the settings
+    sent and the prompt, which carries the template, shots and view; a
+    repeated prompt is asked again."""
     request = [kind, cfg.endpoint, cfg.model_id, float(cfg.temperature), cfg.max_new_tokens]
     keys = [hashlib.sha256(json.dumps([*request, p]).encode("utf-8")).hexdigest() for p in prompts]
     decided = _load_journal(journal_path) if journal_path else {}
     decisions = [decided.get(key) for key in keys]
     pending = [n for n, decision in enumerate(decisions) if decision is None]
-    for start in range(0, len(pending), cfg.batch_size):
-        batch = pending[start:start + cfg.batch_size]
-        for n, decision in zip(batch, decide([prompts[n] for n in batch])):
-            decisions[n] = decision
-        if journal_path:
-            with open(journal_path, "a", encoding="utf-8") as journal:
-                journal.writelines(json.dumps({**asdict(decisions[n]), "key": keys[n]}, sort_keys=True) + "\n"
-                                   for n in batch)
-                journal.flush()
-                os.fsync(journal.fileno())
+    chunks = [pending[start:start + cfg.batch_size] for start in range(0, len(pending), cfg.batch_size)]
+    with ThreadPoolExecutor(max_workers=2) as asking:
+        asked = [asking.submit(decide, [prompts[n] for n in chunk]) for chunk in chunks[:1]]
+        for k, chunk in enumerate(chunks):
+            # Chunk k + 1 is asked while chunk k's last requests finish and it is journaled.
+            asked += [asking.submit(decide, [prompts[n] for n in ahead]) for ahead in chunks[k + 1:k + 2]]
+            for n, decision in zip(chunk, asked.pop(0).result()):
+                decisions[n] = decision
+            if journal_path:
+                with open(journal_path, "a", encoding="utf-8") as journal:
+                    journal.writelines(json.dumps({**asdict(decisions[n]), "key": keys[n]}, sort_keys=True) + "\n"
+                                       for n in chunk)
+                    journal.flush()
+                    os.fsync(journal.fileno())
     return decisions
 
 

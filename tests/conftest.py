@@ -131,16 +131,19 @@ class RuleClient(MockLLMClient):
     decisions, with an optional rule table.
 
     With ``rules``, a prompt whose query texts are a listed (source, target)
-    pair gets that pair's confidence, and any other prompt 0.2.
+    pair gets that pair's confidence, and any other prompt 0.2.  Counts are
+    taken under a lock: an ask loop may run two ``decide_many`` calls at once.
     """
 
     def __init__(self, rules: dict[tuple[str, str], float] | None = None):
         super().__init__(PromptTemplate())
         self.rules = rules
         self.call_count = 0
+        self.lock = threading.Lock()
 
     def binary_decision(self, prompt: str) -> Decision:
-        self.call_count += 1
+        with self.lock:
+            self.call_count += 1
         if self.rules is None:
             return super().binary_decision(prompt)
         confidence = self.rules.get(self.template.query_texts(prompt), 0.2)
@@ -156,8 +159,10 @@ class FlakyClient(RuleClient):
         self.batches = 0
 
     def decide_many(self, prompts):
-        self.batches += 1
-        if self.batches == self.fail_on_batch:
+        with self.lock:
+            self.batches += 1
+            batch = self.batches
+        if batch == self.fail_on_batch:
             raise RuntimeError("simulated crash")
         return super().decide_many(prompts)
 

@@ -189,6 +189,25 @@ def test_eval_exits_2_on_json_that_is_not_utf8(corpus, tmp_path, capsys):
     assert "alignment JSON is not valid UTF-8" in capsys.readouterr().err
 
 
+def test_eval_exits_2_on_a_json_score_too_large_for_a_float(corpus, tmp_path, capsys):
+    _, _, reference = corpus
+    predicted = tmp_path / "pred.json"
+    predicted.write_text('[{"source": "http://a#1", "target": "http://b#1", "score": 1' + "0" * 400 + "}]")
+    assert main(["eval", "--pred", str(predicted), "--ref", str(reference)]) == 2
+    assert "cell 0 has a score too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["align", "eval"])
+def test_an_unknown_declared_xml_encoding_exits_2_naming_it(corpus, tmp_path, capsys, command):
+    source, target, reference = corpus
+    bad = source if command == "align" else reference
+    bad.write_bytes(bad.read_bytes().replace(b'encoding="utf-8"', b'encoding="ut8"'))
+    args = (["align", "--source", str(source), "--target", str(target), "--out", str(tmp_path / "a.xml")]
+            if command == "align" else ["eval", "--pred", str(reference), "--ref", str(reference)])
+    assert main(args) == 2
+    assert "unknown encoding: ut8" in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_1(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text("{", encoding="utf-8")

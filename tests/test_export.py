@@ -258,6 +258,9 @@ def test_json_loader_rejects_bad_documents(tmp_path):
         ('[{"source": "a", "target": "b"}, {"source": "a", "target": 7}]', "cell 1 has a non-string target 7"),
         ('[{"source": "a", "target": "b", "relation": null}]', "cell 0 has a non-string relation None"),
         ('[{"source": "a", "target": "b", "provenance": {"m": 1}}]', "cell 0 has a non-string provenance"),
+        ('[{"source": "a", "target": "b", "score": 1' + "0" * 400 + "}]", "cell 0 has a score too large for a float"),
+        # Interpreters that limit integer literals refuse this one while decoding, older ones in float().
+        ('[{"source": "a", "target": "b", "score": 1' + "0" * 5000 + "}]", "too many digits|too large for a float"),
     ]:
         bad_cell = tmp_path / "bad_cell.json"
         bad_cell.write_text(payload, encoding="utf-8")

@@ -561,6 +561,16 @@ def test_reference_xml_honours_a_declared_latin1_encoding(tmp_path):
     ]
 
 
+def test_xml_declaring_an_unknown_encoding_is_malformed(tmp_path):
+    ontology = write_rdfxml(tmp_path / "onto.owl", [{"iri": BASE + "A", "labels": ["a"]}])
+    reference = write_reference_xml(tmp_path / "ref.rdf", [(BASE + "A", BASE + "B")])
+    for path, read in ((ontology, parse_ontology), (reference, parse_reference_alignment)):
+        path.write_bytes(path.read_bytes().replace(b'encoding="utf-8"', b'encoding="ut8"'))
+        with pytest.raises(MalformedDocument, match="unknown encoding: ut8") as excinfo:
+            read(path)
+        assert excinfo.value.line == 1
+
+
 def test_turtle_and_json_that_are_not_utf8_are_malformed(tmp_path):
     ttl = tmp_path / "latin1.ttl"
     ttl.write_bytes(b'@prefix ex: <http://x.org/> .\nex:A ex:label "caf\xe9" .\n')

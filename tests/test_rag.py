@@ -6,6 +6,8 @@ import itertools
 import json
 import logging
 import math
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import FlakyClient, RecordingClient, RuleClient, make_corpus, make_ontology
 
 from ontomatch.encoding import EncodingView, encode
-from ontomatch.errors import ConfigError, PairCapExceeded, TemplateError
+from ontomatch.errors import ConfigError, PairCapExceeded, ProviderError, TemplateError
 from ontomatch.fuzzy import fuzzy_ratio
 from ontomatch.llm import LLMConfig
 from ontomatch.parsing import ConceptRecord, Ontology
@@ -602,6 +604,93 @@ def test_an_interrupted_llm_run_resumes_to_the_bytes_of_an_uninterrupted_one(tmp
     assert resumed_client.call_count == len(LABELS) ** 2 - 8
     assert resumed == clean and len(clean) == len(LABELS)
     assert journal.read_bytes() == clean_journal.read_bytes()
+
+
+# -- the next chunk is asked while the last one finishes -----------------------------
+
+
+def _query_texts(payload):
+    return PromptTemplate().query_texts(payload["prompt"])
+
+
+def test_the_next_chunk_is_asked_while_the_last_one_finishes(keepalive_server):
+    # Chunks of two: (a, x) and (a, y), then (b, x) and (b, y).  The (a, x)
+    # request waits for a chunk-2 request, which only comes if chunk 2 is
+    # asked before chunk 1's slowest request is answered.
+    arrived, waited = threading.Event(), []
+
+    def app(path, payload):
+        if _query_texts(payload)[0] == "b":
+            arrived.set()
+        elif _query_texts(payload) == ("a", "x"):
+            waited.append(arrived.wait(5.0))
+        return 200, {"choices": [{"text": "no"}]}
+
+    keepalive_server.app = app
+    cfg = LLMConfig(endpoint=keepalive_server.url, batch_size=2)
+    src, tgt = make_corpus(["a", "b"]), make_corpus(["x", "y"], prefix="http://example.org/b#")
+    assert align_llm_pairwise(src, tgt, cfg) == []
+    assert waited == [True]
+    assert len(keepalive_server.requests) == 4
+    assert keepalive_server.max_active <= cfg.batch_size
+
+
+def test_overlapping_chunks_put_every_answer_on_its_own_pair(keepalive_server, tmp_path):
+    # More threads than cores (two ask threads, four client threads, the
+    # server's), switching every microsecond: a decision placed on another
+    # chunk's pair, or a journal line lost, shows in the output.
+    labels = [f"c{i}" for i in range(10)]
+
+    def app(path, payload):
+        source_text, target_text = _query_texts(payload)
+        return 200, {"choices": [{"text": "yes" if source_text == target_text else "no"}]}
+
+    keepalive_server.app = app
+    cfg = LLMConfig(endpoint=keepalive_server.url, batch_size=4)
+    src, tgt = make_corpus(labels), make_corpus(labels, prefix="http://example.org/b#")
+    journal = tmp_path / "run.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = align_llm_pairwise(src, tgt, cfg, journal_path=str(journal))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(c.source, c.target) for c in out] == list(zip(src.iris, tgt.iris))
+    assert len(keepalive_server.requests) == len(labels) ** 2
+    assert keepalive_server.max_active <= cfg.batch_size
+    keepalive_server.app = lambda path, payload: (500, {"error": "asked again"})
+    assert align_llm_pairwise(src, tgt, cfg, journal_path=str(journal)) == out
+    assert len(journal.read_text(encoding="utf-8").splitlines()) == len(labels) ** 2
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3, 4])
+def test_an_error_in_a_chunk_journals_the_chunks_before_it_and_asks_one_more(keepalive_server, tmp_path, failing):
+    # Four chunks of two prompts; chunk k holds the prompts of source label k.
+    labels = ["1", "2", "3", "4"]
+    refused, asked = [None], set()
+
+    def app(path, payload):
+        source_text = _query_texts(payload)[0]
+        asked.add(source_text)
+        return (400, {"error": "bad"}) if source_text == refused[0] else (200, {"choices": [{"text": "yes"}]})
+
+    keepalive_server.app = app
+    cfg = LLMConfig(endpoint=keepalive_server.url, batch_size=2)
+    src, tgt = make_corpus(labels), make_corpus(["x", "y"], prefix="http://example.org/b#")
+    clean_journal, journal = tmp_path / "clean.jsonl", tmp_path / "run.jsonl"
+    threads = threading.active_count()
+    align_llm_pairwise(src, tgt, cfg, journal_path=str(clean_journal))
+    refused[0] = labels[failing - 1]
+    asked.clear()
+    with pytest.raises(ProviderError):
+        align_llm_pairwise(src, tgt, cfg, journal_path=str(journal))
+    lines = journal.read_text(encoding="utf-8").splitlines() if journal.exists() else []
+    assert lines == clean_journal.read_text(encoding="utf-8").splitlines()[:2 * (failing - 1)]
+    assert asked == set(labels[:failing + 1])
+    deadline = time.monotonic() + 5.0  # the server's connection threads end once the client closes
+    while threading.active_count() != threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == threads
 
 
 def test_llm_and_rag_sharing_a_journal_reuse_only_their_own_lines(tmp_path):
