@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import InvalidScore
-from .mapping import AlignmentDocument, Correspondence
+from .mapping import AlignmentDocument, Correspondence, valid_score
 from .parsing import ALIGNMENT_NS, RDF_NS, XSD_NS, is_json_alignment
 
 # Cells rendered per chunk handed to the file; bounds the text in memory.
@@ -65,7 +65,7 @@ def format_measure(score: float) -> str:
 
 
 def _check_cell(cell: Correspondence, index: int) -> None:
-    if not 0.0 <= cell.score <= 1.0:
+    if not valid_score(cell.score):
         raise InvalidScore(f"cell {index}: score {cell.score} outside [0, 1]")
     if not cell.source or not cell.target:
         raise InvalidScore(f"cell {index}: empty entity IRI")

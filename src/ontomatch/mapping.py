@@ -31,6 +31,11 @@ class Correspondence:
         return (self.source, self.target, self.relation)
 
 
+def valid_score(score: float) -> bool:
+    """The score rule of every alignment reader and writer: a confidence in [0, 1], never NaN."""
+    return 0.0 <= score <= 1.0
+
+
 @dataclass(frozen=True)
 class AlignmentDocument:
     """An alignment plus the header fields of the XML format."""

@@ -3,15 +3,15 @@
 Two input families are handled:
 
 * OWL/RDF ontologies, serialized as RDF/XML (``.owl``, ``.rdf``, ``.xml``)
-  or Turtle (``.ttl``).  Both serializations are reduced to a stream of
-  triples in document order, from which named classes, labels, synonyms,
-  comments, and subclass links are collected.
+  or Turtle (``.ttl``).  Each reader hands every statement it finds to one
+  sink, which keeps only what the concept records need: named classes,
+  labels, synonyms, comments, and subclass links.
 * Alignments, as OAEI alignment-cell XML or the JSON that ``export``
   writes, both read into an ``AlignmentDocument`` of ``Correspondence`` cells.
 
 Both XML kinds stream through one expat reader (:func:`_read_xml`) fed from
 the file's bytes, so a declared encoding is honoured and no element tree is
-built: the RDF/XML reader emits triples from start, end and text events,
+built: the RDF/XML reader finds statements in start, end and text events,
 and the alignment reader builds each cell when its element ends.
 
 A file's suffix names its format: :func:`detect_format` for ontologies,
@@ -32,7 +32,7 @@ from urllib.parse import urljoin
 from xml.parsers import expat
 
 from .errors import MalformedDocument, MissingEntity, UnsupportedFormat
-from .mapping import AlignmentDocument, Correspondence
+from .mapping import AlignmentDocument, Correspondence, valid_score
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -141,12 +141,12 @@ def parse_ontology(path: str | Path) -> Ontology:
         MalformedDocument: the file cannot be parsed.
     """
     fmt = detect_format(path)
+    sink = _ConceptSink()
     if fmt == "rdf-xml":
-        triples = _triples_from_rdfxml(path)
+        _read_rdfxml(path, sink.add)
     else:
-        triples = _triples_from_turtle(_read_utf8(path, "Turtle document"))
-    concepts = _build_concepts(triples)
-    return Ontology(concepts=concepts, source_path=str(path), format=fmt)
+        _TurtleReader(_read_utf8(path, "Turtle document"), sink.add).read()
+    return Ontology(concepts=sink.records(), source_path=str(path), format=fmt)
 
 
 def _read_utf8(path: str | Path, what: str) -> str:
@@ -158,87 +158,87 @@ def _read_utf8(path: str | Path, what: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Triple stream -> concepts
+# Statements -> concepts
 # --------------------------------------------------------------------------
 
-# A triple is (subject, predicate, object, object_is_literal).  Subjects are
-# always IRIs; blank-node subjects are dropped by the serialization readers.
-Triple = tuple[str, str, str, bool]
 
+class _ConceptSink:
+    """Keeps what the concept records need of the statements a reader finds.
 
-def _is_builtin(iri: str) -> bool:
-    return iri.startswith(_BUILTIN_NS)
+    A reader calls :meth:`add` per statement with an IRI subject (it drops
+    blank-node subjects), in document order.  A literal is kept, stripped and
+    unless empty, when its predicate has a store in ``literals``; a resource
+    object only as a class typing or a ``subClassOf`` link.
+    """
 
+    def __init__(self) -> None:
+        self.typed: set[str] = set()
+        self.edges: set[tuple[str, str]] = set()
+        synonyms: dict[str, list[str]] = {}
+        # Per literal predicate, its store: subject -> values in document order.
+        self.literals: dict[str, dict[str, list[str]]] = {
+            _LABEL: {}, _PREF_LABEL: {}, _ALT_LABEL: synonyms, _EXACT_SYNONYM: synonyms, _COMMENT: {},
+        }
 
-def _build_concepts(triples: list[Triple]) -> tuple[ConceptRecord, ...]:
-    typed: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    labels: dict[str, list[str]] = {}
-    pref_labels: dict[str, list[str]] = {}
-    synonyms: dict[str, list[str]] = {}
-    comments: dict[str, list[str]] = {}
+    def add(self, subject: str, predicate: str, obj: str, is_literal: bool) -> None:
+        if is_literal:
+            store = self.literals.get(predicate)
+            if store is not None:
+                value = obj.strip()
+                if value:
+                    store.setdefault(subject, []).append(value)
+        elif predicate == _RDF_TYPE:
+            if obj in _CLASS_TYPES:
+                self.typed.add(subject)
+        elif predicate == _SUBCLASS:
+            self.edges.add((subject, obj))
 
-    def push(store: dict[str, list[str]], key: str, value: str) -> None:
-        value = value.strip()
-        if value:
-            store.setdefault(key, []).append(value)
+    def records(self) -> tuple[ConceptRecord, ...]:
+        """One record per named class, sorted by IRI, with sorted parents and children."""
+        edges = self.edges
+        iris = self.typed | {s for s, _ in edges} | {o for _, o in edges}
+        iris = {iri for iri in iris if not iri.startswith(_BUILTIN_NS)}
 
-    for subject, predicate, obj, is_literal in triples:
-        if predicate == _RDF_TYPE and not is_literal and obj in _CLASS_TYPES:
-            typed.add(subject)
-        elif predicate == _SUBCLASS and not is_literal:
-            edges.add((subject, obj))
-        elif predicate == _LABEL and is_literal:
-            push(labels, subject, obj)
-        elif predicate == _PREF_LABEL and is_literal:
-            push(pref_labels, subject, obj)
-        elif predicate in (_ALT_LABEL, _EXACT_SYNONYM) and is_literal:
-            push(synonyms, subject, obj)
-        elif predicate == _COMMENT and is_literal:
-            push(comments, subject, obj)
+        parents: dict[str, list[str]] = {iri: [] for iri in iris}
+        children: dict[str, list[str]] = {iri: [] for iri in iris}
+        for child, parent in sorted(edges):  # in this order every list below fills sorted
+            if child == parent or child not in iris or parent not in iris:
+                continue
+            parents[child].append(parent)
+            children[parent].append(child)
 
-    iris = typed | {s for s, _ in edges} | {o for _, o in edges}
-    iris = {iri for iri in iris if not _is_builtin(iri)}
-
-    parents: dict[str, list[str]] = {iri: [] for iri in iris}
-    children: dict[str, list[str]] = {iri: [] for iri in iris}
-    for child, parent in edges:
-        if child == parent or child not in iris or parent not in iris:
-            continue
-        parents[child].append(parent)
-        children[parent].append(child)
-
-    records = []
-    for iri in sorted(iris):
-        primary = labels.get(iri, [])
-        preferred = pref_labels.get(iri, [])
-        if primary:
-            label = primary[0]
-            extra = primary[1:] + preferred
-        elif preferred:
-            label = preferred[0]
-            extra = preferred[1:]
-        else:
-            label = derive_label(iri)
-            extra = []
-        seen = {label}
-        syns = []
-        for value in extra + synonyms.get(iri, []):
-            if value not in seen:
-                seen.add(value)
-                syns.append(value)
-        comment = comments.get(iri, [None])[0]
-        records.append(
-            ConceptRecord(
-                iri=iri,
-                label=label,
-                synonyms=tuple(syns),
-                comment=comment,
-                parents=tuple(sorted(parents[iri])),
-                children=tuple(sorted(children[iri])),
+        labels, pref_labels, synonyms, comments = (self.literals[p] for p in (_LABEL, _PREF_LABEL, _ALT_LABEL, _COMMENT))
+        records = []
+        for iri in sorted(iris):
+            primary = labels.get(iri, [])
+            preferred = pref_labels.get(iri, [])
+            if primary:
+                label = primary[0]
+                extra = primary[1:] + preferred
+            elif preferred:
+                label = preferred[0]
+                extra = preferred[1:]
+            else:
+                label = derive_label(iri)
+                extra = []
+            seen = {label}
+            syns = []
+            for value in extra + synonyms.get(iri, []):
+                if value not in seen:
+                    seen.add(value)
+                    syns.append(value)
+            comment = comments.get(iri, [None])[0]
+            records.append(
+                ConceptRecord(
+                    iri=iri,
+                    label=label,
+                    synonyms=tuple(syns),
+                    comment=comment,
+                    parents=tuple(parents[iri]),
+                    children=tuple(children[iri]),
+                )
             )
-        )
-    return tuple(records)
+        return tuple(records)
 
 
 # --------------------------------------------------------------------------
@@ -280,9 +280,13 @@ def _read_xml(path: str | Path, what: str, namespace_separator: str, start, end,
 
 
 def _resolve(base: str, ref: str) -> str:
+    """``ref`` resolved against ``base``, the one rule for RDF/XML and Turtle."""
     if not base:
         return ref
-    return urljoin(base, ref)
+    try:
+        return urljoin(base, ref)
+    except ValueError:  # urllib's "Invalid IPv6 URL": a "[" in the authority without its "]"
+        raise MalformedDocument(f"cannot resolve IRI {ref!r} against base {base!r}") from None
 
 
 def _node_iri(attributes: dict[str, str], base: str) -> str | None:
@@ -295,8 +299,9 @@ def _node_iri(attributes: dict[str, str], base: str) -> str | None:
     return None
 
 
-def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
-    """The triples of an RDF/XML file in document order, read from expat events.
+def _read_rdfxml(path: str | Path, add) -> None:
+    """Call ``add(subject, predicate, object, is_literal)`` for each statement
+    of an RDF/XML file with an IRI subject, in document order.
 
     Node and property elements alternate, so the open elements form a stack
     with a property at every even index: the document element ``rdf:RDF``
@@ -309,8 +314,6 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
     so a subject-less node frame rides on top of it.  A ``Literal`` one (or
     any type but ``Collection``) holds markup, not nodes: its text is its object.
     """
-    triples: list[Triple] = []
-    emit = triples.append
     stack: list[tuple] = []
     chars: list[str] = []
     opened = False  # whether the last tag was a start tag
@@ -337,16 +340,16 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
                 # The object is resolved against the property's base, not the node's.
                 obj = _node_iri(attributes, outer) if XML_BASE in attributes else iri
                 if obj is not None:
-                    emit((subject, predicate, obj, False))
+                    add(subject, predicate, obj, False)
             if iri is not None:
                 if name != _RDF_DESCRIPTION:
-                    emit((iri, _RDF_TYPE, name, False))
+                    add(iri, _RDF_TYPE, name, False)
                 # Property-attribute shorthand, e.g. <owl:Class rdf:about=".." rdfs:label="..">.
                 for attr, value in attributes.items():
                     if attr == _RDF_TYPE:
-                        emit((iri, _RDF_TYPE, _resolve(base, value), False))
+                        add(iri, _RDF_TYPE, _resolve(base, value), False)
                     elif not attr.startswith(_SYNTAX_NS):
-                        emit((iri, attr, value, True))
+                        add(iri, attr, value, True)
             stack.append((iri, None, base, False))
         else:
             # A property element of the node on top.
@@ -355,7 +358,7 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
             resource = attributes.get(_RDF_RESOURCE)
             parse_type = attributes.get(_RDF_PARSE_TYPE)
             if resource is not None and subject is not None:
-                emit((subject, name, _resolve(base, resource), False))
+                add(subject, name, _resolve(base, resource), False)
             stack.append((subject, name, base, resource is None and subject is not None))
             if parse_type == "Resource":
                 stack.append((None, _RESOURCE_NODE, base, False))
@@ -374,11 +377,10 @@ def _triples_from_rdfxml(path: str | Path) -> list[Triple]:
         elif literal and opened:
             value = "".join(chars).strip()
             if value:
-                emit((subject, predicate, value, True))
+                add(subject, predicate, value, True)
         opened = False
 
     _read_xml(path, "RDF/XML", "", start, end, chars.append)
-    return triples
 
 
 # --------------------------------------------------------------------------
@@ -446,12 +448,12 @@ class _TurtleReader:
     sync.  Anything else raises :class:`MalformedDocument`.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, add):
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.base = ""
-        self.triples: list[Triple] = []
+        self.add = add  # called as add(subject, predicate, object, is_literal)
 
     @staticmethod
     def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -490,10 +492,9 @@ class _TurtleReader:
         if kind != "punct" or tok != value:
             raise MalformedDocument(f"expected {value!r} in Turtle document, found {tok!r}")
 
-    def read(self) -> list[Triple]:
+    def read(self) -> None:
         while self._peek()[0] != "eof":
             self._statement()
-        return self.triples
 
     def _statement(self) -> None:
         kind, tok = self._peek()
@@ -529,8 +530,7 @@ class _TurtleReader:
             self._expect(".")
 
     def _resolve_iri(self, token: str) -> str:
-        ref = token[1:-1]
-        return urljoin(self.base, ref) if self.base else ref
+        return _resolve(self.base, token[1:-1])
 
     def _expand_pname(self, token: str) -> str:
         prefix, _, local = token.partition(":")
@@ -607,20 +607,16 @@ class _TurtleReader:
             elif self._peek()[0] == "langtag":
                 self._next()
             if subject is not None:
-                self.triples.append((subject, predicate, value, True))
+                self.add(subject, predicate, value, True)
             return
         if kind == "number" or (kind == "pname" and tok in ("true", "false")):
             self._next()
             if subject is not None:
-                self.triples.append((subject, predicate, tok, True))
+                self.add(subject, predicate, tok, True)
             return
         obj = self._term()
         if subject is not None and obj is not None:
-            self.triples.append((subject, predicate, obj, False))
-
-
-def _triples_from_turtle(text: str) -> list[Triple]:
-    return _TurtleReader(text).read()
+            self.add(subject, predicate, obj, False)
 
 
 # --------------------------------------------------------------------------
@@ -659,6 +655,9 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
         for name in ("source", "target", "relation", "provenance"):
             if not isinstance(fields[name], str):
                 raise MalformedDocument(f"alignment JSON cell {index} has a non-string {name} {fields[name]!r}")
+        for name in ("source", "target"):
+            if not fields[name]:
+                raise MalformedDocument(f"alignment JSON cell {index} has an empty {name}")
         score = item.get("score", 1.0)
         if type(score) not in (int, float):  # a JSON number; never a bool or a numeric string
             raise MalformedDocument(f"alignment JSON cell {index} has a non-numeric score {score!r}")
@@ -666,6 +665,8 @@ def load_json_alignment(path: str | Path) -> list[Correspondence]:
             score = float(score)
         except OverflowError:  # an integer too large for a float
             raise MalformedDocument(f"alignment JSON cell {index} has a score too large for a float") from None
+        if not valid_score(score):
+            raise MalformedDocument(f"alignment JSON cell {index} has score {score} outside [0, 1]")
         cells.append(Correspondence(
             source=fields["source"],
             target=fields["target"],
@@ -683,11 +684,13 @@ def parse_reference_alignment(path: str | Path) -> AlignmentDocument:
     cell per ``Cell`` element, in document order, duplicate (source,
     target, relation) triples collapsed to the first occurrence; missing
     relations default to "=", missing measures to 1.0.  The leaf
-    ``onto1``, ``onto2``, ``level`` and ``type`` headers are kept.
+    ``onto1``, ``onto2``, ``level`` and ``type`` headers are kept.  A score
+    must pass :func:`~ontomatch.mapping.valid_score`, as the writers require.
 
     Raises:
         FileNotFoundError: the path does not exist.
-        MalformedDocument: XML or JSON errors, or non-numeric measures.
+        MalformedDocument: XML or JSON errors, a measure or score that is not
+            a number in [0, 1], or a JSON cell with an empty source or target.
         MissingEntity: an XML cell lacks entity1 or entity2.
     """
     if is_json_alignment(path):
@@ -748,6 +751,8 @@ def _alignment_from_xml(path: str | Path) -> AlignmentDocument:
                 elif cell[6] is None:
                     try:
                         cell[5] = float(value)
+                        if not valid_score(cell[5]):
+                            raise ValueError
                     except ValueError:
                         cell[6] = MalformedDocument(f"cell {cell[0]}: bad measure {value!r}")
         if local == "Cell":

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 from .encoding import EncodedCorpus, EncodingView, encode
 from .errors import ConfigError, PairCapExceeded, TemplateError, check_count, check_fraction
 from .llm import Decision, LLMConfig, make_llm_client, read_answer
-from .mapping import Correspondence
+from .mapping import Correspondence, valid_score
 from .parsing import Ontology
 from .retrieval import RetrievalConfig, align_retrieval
 
@@ -217,7 +217,7 @@ def _load_journal(path: str) -> dict[str, Decision]:
             label, fallback = entry["label"], entry["fallback"]
             # A line lacking a string key, a confidence in [0, 1] (not a bool, NaN,
             # 1.5), a yes/no label or a bool fallback flag is as unusable as a torn one.
-            if (type(key) is str and type(confidence) in (int, float) and 0.0 <= confidence <= 1.0
+            if (type(key) is str and type(confidence) in (int, float) and valid_score(confidence)
                     and label in ("yes", "no") and type(fallback) is bool):
                 decided[key] = Decision(label, float(confidence), fallback)
                 continue

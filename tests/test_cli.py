@@ -197,6 +197,28 @@ def test_eval_exits_2_on_a_json_score_too_large_for_a_float(corpus, tmp_path, ca
     assert "cell 0 has a score too large for a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix, cell, message", [
+    ("xml", '<map><Cell><entity1 rdf:resource="http://a#1"/><entity2 rdf:resource="http://b#1"/>'
+            "<measure>1.5</measure></Cell></map>", "cell 0: bad measure '1.5'"),
+    ("json", '{"source": "http://a#1", "target": "http://b#1", "score": -0.1}', "cell 0 has score -0.1 outside [0, 1]"),
+    ("json", '{"source": "", "target": "http://b#1"}', "cell 0 has an empty source"),
+], ids=["xml-measure", "json-score", "json-empty-source"])
+def test_eval_and_convert_both_exit_2_on_a_cell_the_writer_refuses(corpus, tmp_path, capsys, suffix, cell, message):
+    _, _, reference = corpus
+    predicted = tmp_path / f"pred.{suffix}"
+    if suffix == "xml":
+        text = reference.read_text(encoding="utf-8")
+        predicted.write_text(text.replace("<map>", cell + "<map>", 1), encoding="utf-8")
+    else:
+        predicted.write_text(f"[{cell}]", encoding="utf-8")
+    other = tmp_path / ("out.json" if suffix == "xml" else "out.xml")
+    for args in (["eval", "--pred", str(predicted), "--ref", str(reference)],
+                 ["convert", "--in", str(predicted), "--out", str(other)]):
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+    assert not other.exists()
+
+
 @pytest.mark.parametrize("command", ["align", "eval"])
 def test_an_unknown_declared_xml_encoding_exits_2_naming_it(corpus, tmp_path, capsys, command):
     source, target, reference = corpus

@@ -259,6 +259,12 @@ def test_json_loader_rejects_bad_documents(tmp_path):
         ('[{"source": "a", "target": "b", "relation": null}]', "cell 0 has a non-string relation None"),
         ('[{"source": "a", "target": "b", "provenance": {"m": 1}}]', "cell 0 has a non-string provenance"),
         ('[{"source": "a", "target": "b", "score": 1' + "0" * 400 + "}]", "cell 0 has a score too large for a float"),
+        ('[{"source": "a", "target": "b", "score": 1e999}]', r"cell 0 has score inf outside \[0, 1\]"),
+        ('[{"source": "a", "target": "b", "score": -0.1}]', r"cell 0 has score -0.1 outside \[0, 1\]"),
+        ('[{"source": "a", "target": "b", "score": 1.5}]', r"cell 0 has score 1.5 outside \[0, 1\]"),
+        ('[{"source": "a", "target": "b", "score": NaN}]', r"cell 0 has score nan outside \[0, 1\]"),
+        ('[{"source": "", "target": "b"}]', "cell 0 has an empty source"),
+        ('[{"source": "a", "target": "b"}, {"source": "a", "target": ""}]', "cell 1 has an empty target"),
         # Interpreters that limit integer literals refuse this one while decoding, older ones in float().
         ('[{"source": "a", "target": "b", "score": 1' + "0" * 5000 + "}]", "too many digits|too large for a float"),
     ]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import to_latin1, write_rdfxml, write_reference_xml
 
-from ontomatch.errors import MalformedDocument, MissingEntity, UnsupportedFormat
+from ontomatch.errors import MalformedDocument, MissingEntity, OntomatchError, UnsupportedFormat
 from ontomatch.parsing import (
     ConceptRecord,
     derive_label,
@@ -523,6 +524,8 @@ def test_turtle_literals_never_stand_for_punctuation(tmp_path, statement):
     ("[] a owl:Class ; ex:p ex:B .\nex:A a owl:Class .", ("http://x.org/A",)),
     ("ex:A a owl:Class ; .", ("http://x.org/A",)),
     ("ex:A a owl:Class ; rdfs:subClassOf [ a owl:Restriction ; ] .", ("http://x.org/A",)),
+    ("@base <http://x.org/> .\n<http://[x/A> a owl:Class .",
+     "cannot resolve IRI 'http://[x/A' against base 'http://x.org/'"),
 ])
 def test_turtle_rare_forms_read_or_fail_as_documented(tmp_path, statements, expected):
     """Each form reads to the concept IRIs ``expected``, or fails with that message."""
@@ -800,6 +803,11 @@ def test_reference_bad_measure_rejected(tmp_path):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedDocument):
         parse_reference_alignment(path)
+    # A number is a measure only in [0, 1], the range the writers keep to.
+    for measure in ("1.5", "-0.1", "nan", "inf", "1e999"):
+        path.write_text(text.replace(">high<", f">{measure}<"), encoding="utf-8")
+        with pytest.raises(MalformedDocument, match=f"^cell 0: bad measure '{measure}'$"):
+            parse_reference_alignment(path)
 
 
 def test_reading_a_reference_holds_less_than_the_file_besides_its_cells(tmp_path):
@@ -903,6 +911,16 @@ def test_an_entity_left_to_an_external_dtd_is_undefined(tmp_path, suffix):
     assert str(excinfo.value) == f"invalid {what}: undefined entity &nope; (line 5, column 7)"
 
 
+def test_rdfxml_iri_that_cannot_be_resolved_is_malformed(tmp_path):
+    path = tmp_path / "bracket.owl"
+    path.write_text(
+        f'<rdf:RDF {_RDF_XMLNS} xml:base="http://x.org/"><rdf:Description rdf:about="http://[x/A"/></rdf:RDF>\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedDocument, match=re.escape("cannot resolve IRI 'http://[x/A' against base 'http://x.org/'")):
+        parse_ontology(path)
+
+
 def test_internal_dtd_entities_expand_in_iris_and_labels(tmp_path):
     path = tmp_path / "entities.owl"
     path.write_text(
@@ -919,3 +937,110 @@ def test_internal_dtd_entities_expand_in_iris_and_labels(tmp_path):
     alloy, steel = parse_ontology(path).concepts
     assert (alloy.iri, alloy.label, alloy.children) == (BASE + "Alloy", "An alloyed metal", (BASE + "Steel",))
     assert steel.iri == BASE + "Steel"
+
+
+# -- reader fuzz -------------------------------------------------------------------
+
+# One valid document per reader, touching each construct the reader handles.
+_FUZZ_SEEDS = {
+    "owl": """<?xml version="1.0" encoding="utf-8"?>
+<!DOCTYPE rdf:RDF [ <!ENTITY ex "http://x.org/onto#"> ]>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#"
+         xmlns:skos="http://www.w3.org/2004/02/skos/core#"
+         xmlns:obo="http://www.geneontology.org/formats/oboInOwl#"
+         xml:base="http://x.org/onto">
+  <owl:Class rdf:about="&ex;Alloy" rdfs:label="Alloy">
+    <skos:prefLabel xml:lang="en">alloy</skos:prefLabel>
+    <skos:altLabel>metal alloy</skos:altLabel>
+    <obo:hasExactSynonym>mixed metal</obo:hasExactSynonym>
+    <rdfs:comment rdf:parseType="Literal">A <b>mixture</b> of metals.</rdfs:comment>
+    <rdfs:subClassOf rdf:resource="http://www.w3.org/2002/07/owl#Thing"/>
+  </owl:Class>
+  <owl:Class rdf:ID="Steel">
+    <rdfs:subClassOf><owl:Class rdf:about="#Alloy"/></rdfs:subClassOf>
+    <rdfs:subClassOf><owl:Restriction><owl:onProperty rdf:resource="#part"/></owl:Restriction></rdfs:subClassOf>
+    <rdfs:seeAlso rdf:parseType="Resource"><rdfs:label>note</rdfs:label></rdfs:seeAlso>
+    <owl:unionOf rdf:parseType="Collection"><rdf:Description rdf:about="#Iron"/></owl:unionOf>
+  </owl:Class>
+  <rdf:Description rdf:about="#Iron" rdf:type="http://www.w3.org/2002/07/owl#Class" xml:base="http://y.org/">
+    <rdfs:subClassOf rdf:resource="#Alloy"/>
+  </rdf:Description>
+</rdf:RDF>
+""",
+    "ttl": """@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+PREFIX skos: <http://www.w3.org/2004/02/skos/core#>
+@base <http://x.org/> .
+@prefix : <onto#> .
+# a comment
+:Alloy a owl:Class ;
+    rdfs:label "Alloy"@en , 'alloy' ;
+    skos:altLabel \"\"\"metal
+alloy\"\"\" , "mixed\\u0020metal"^^<http://www.w3.org/2001/XMLSchema#string> ;
+    rdfs:comment "A mixture of metals." ;
+    :rank 3.5e0 ; :deprecated false .
+<onto#Steel> a owl:Class ; rdfs:subClassOf :Alloy , [ a owl:Restriction ; owl:onProperty :part ] ;
+    :members ( :Iron "x" 2 ) ; .
+_:b a owl:Class ; rdfs:subClassOf :Alloy .
+BASE <http://y.org/>
+<Iron> a owl:Class ; rdfs:subClassOf <http://x.org/onto#Alloy> .
+""",
+    "rdf": """<?xml version="1.0" encoding="utf-8"?>
+<rdf:RDF xmlns="http://knowledgeweb.semanticweb.org/heterogeneity/alignment#"
+         xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:xsd="http://www.w3.org/2001/XMLSchema#">
+  <Alignment>
+    <xml>yes</xml><level>0</level><type>**</type>
+    <onto1>http://x.org/src</onto1><onto2>http://x.org/tgt</onto2>
+    <map><Cell>
+      <entity1 rdf:resource="http://x.org/src#a"/><entity2 rdf:resource="http://x.org/tgt#b"/>
+      <relation>=</relation><measure rdf:datatype="http://www.w3.org/2001/XMLSchema#float">0.75</measure>
+    </Cell></map>
+    <map><Cell><entity1 rdf:resource="http://x.org/src#c"/><entity2 rdf:resource="http://x.org/tgt#d"/></Cell></map>
+  </Alignment>
+</rdf:RDF>
+""",
+    "json": """[
+  {"source": "http://x.org/src#a", "target": "http://x.org/tgt#b", "relation": "=", "score": 0.75, "provenance": "fuzzy"},
+  {"source": "http://x.org/src#c", "target": "http://x.org/tgt#d", "score": 1}
+]
+""",
+}
+_FUZZ_CHUNKS = st.sampled_from([
+    b"<", b">", b"/", b'"', b"'", b"&", b";", b"#", b"[", b"]", b"(", b")", b".", b",", b":", b"@", b"\\",
+    b"\n", b"\x00", b"\xff", b"\xc3", b"rdf:", b"_:", b"^^", b"-", b"1.5", b"nan", b"1e999", b'""',
+]) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def _mutant(draw, seed: bytes) -> bytes:
+    """``seed`` after one to four byte-level insertions, deletions, replacements or duplications."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        end = min(len(data), at + draw(st.integers(1, 8)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "duplicate")))
+        if kind == "insert":
+            data[at:at] = draw(_FUZZ_CHUNKS)
+        elif kind == "delete":
+            del data[at:end]
+        elif kind == "replace":
+            data[at:end] = draw(_FUZZ_CHUNKS)
+        else:
+            data[at:at] = data[at:end]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("suffix", sorted(_FUZZ_SEEDS))
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_document_is_read_or_refused_with_a_toolkit_error(tmp_path, suffix, data):
+    """Each reader returns a value or raises an ``OntomatchError``, whatever the bytes."""
+    reader = parse_ontology if suffix in ("owl", "ttl") else parse_reference_alignment
+    path = tmp_path / f"mutant.{suffix}"
+    path.write_bytes(data.draw(_mutant(_FUZZ_SEEDS[suffix].encode())))
+    with contextlib.suppress(OntomatchError):
+        reader(path)
